@@ -9,6 +9,11 @@ cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo run --release -p realistic-pe --example verify
 
+# The repository benchmark (its own workspace under perfbench/): its
+# tests pin the public layer calls it times to `Pipeline::compile`,
+# byte for byte, and check its seeded inputs are deterministic.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # pe-flow translation validation: the whole Gabriel suite is compiled
 # with the flow optimizer off and on, differentially executed on the
 # VM, and every optimized residual must re-pass verification with zero

@@ -37,13 +37,6 @@ pub mod desc;
 pub mod eval;
 pub mod spec;
 
-/// The residual optimizer, re-exported from [`pe_flow::opt`] under its
-/// historical path (the syntactic passes lived here before the flow
-/// framework subsumed them).
-pub mod post {
-    pub use pe_flow::opt::*;
-}
-
 /// The residual language S₀, re-exported from [`pe_flow::s0`] (the
 /// definition moved below pe-core so the dataflow crate can own it).
 pub mod s0 {
@@ -302,7 +295,8 @@ fn assemble_audit(sct: Option<pe_sct::SctAnalysis>, events: Vec<ControlEvent>) -
 }
 
 /// Post-processes under a `post` span, runs the flow optimizer under a
-/// `flow` span, and reports residual size plus the flow counters.
+/// `flow` span, attributes each span's time over the residual
+/// procedures, and reports residual size plus the flow counters.
 fn finish_traced(
     p: S0Program,
     opts: &CompileOptions,
@@ -310,8 +304,10 @@ fn finish_traced(
 ) -> Result<S0Program, SpecError> {
     let p = if opts.postprocess {
         let t = pe_trace::begin(sink, Phase::Post);
-        let q = post::postprocess_traced(p, sink);
-        pe_trace::end(sink, t);
+        let q = pe_flow::postprocess(p);
+        if let Some(ns) = pe_trace::end(sink, t) {
+            q.attribute_by_size(sink, Phase::Post, ns);
+        }
         q
     } else {
         p
@@ -320,26 +316,21 @@ fn finish_traced(
         // Graceful degradation: an exhausted budget keeps the
         // (already correct) unoptimized program instead of failing
         // the compile.  The fallback clone happens before the span
-        // opens — the flow span must cover only optimizer time, so
-        // the per-procedure attribution can sum to it.
+        // opens, so the span covers only optimizer time.
         let fallback = p.clone();
         let t = pe_trace::begin(sink, Phase::Flow);
         let mut fuel = Fuel::new(&opts.limits);
-        let (q, stats) = pe_flow::optimize_with_traced(
-            p,
-            &pe_flow::FlowOptions::default(),
-            &mut fuel,
-            sink,
-        )
-        .unwrap_or_else(|_| (fallback, pe_flow::FlowStats::default()));
-        pe_trace::end(sink, t);
-        if sink.enabled() {
+        let (q, stats) = pe_flow::optimize(p, &mut fuel)
+            .unwrap_or_else(|_| (fallback, pe_flow::FlowStats::default()));
+        if let Some(ns) = pe_trace::end(sink, t) {
+            q.attribute_by_size(sink, Phase::Flow, ns);
+            let cfg = pe_flow::cfg::ProgramCfg::build(&q);
             sink.counter(Counter::CopiesPropagated, stats.copies_propagated as u64);
             sink.counter(Counter::DeadBindings, stats.dead_bindings as u64);
             sink.counter(Counter::SlotsPruned, stats.slots_pruned as u64);
             sink.counter(Counter::ArmsFolded, stats.arms_folded as u64);
-            sink.counter(Counter::CfgNodes, stats.cfg_nodes as u64);
-            sink.counter(Counter::CfgEdges, stats.cfg_edges as u64);
+            sink.counter(Counter::CfgNodes, cfg.node_count() as u64);
+            sink.counter(Counter::CfgEdges, cfg.edge_count() as u64);
         }
         q
     } else {
@@ -698,6 +689,18 @@ mod tests {
         // dynamic closure value produced by their shared runtime.
         for (prog, tag) in [(&warm, "warm"), (&cold, "cold")] {
             assert!(!prog.to_source().contains("lambda"), "{tag} stays first-order");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn post_and_flow_attribution_covers_exactly_their_spans() -> R {
+        let d = desugar(&parse_source(CPS_APPEND)?)?;
+        let mut sink = pe_trace::CollectingSink::new();
+        compile_with(&d, "append", &CompileOptions::default(), &mut sink)?;
+        for phase in [Phase::Post, Phase::Flow] {
+            assert!(sink.phase_ns(phase) > 0, "{phase:?}");
+            assert_eq!(sink.attr_ns(phase), sink.phase_ns(phase), "{phase:?}");
         }
         Ok(())
     }

@@ -16,15 +16,15 @@
 //! * [`constprop`] — interprocedural copy/constant propagation;
 //! * [`slots`] — closure-shape analysis: slot usage, escape pinning,
 //!   dispatch-arm decidability;
-//! * [`opt`] — the residual optimizer: Unmix-style syntactic
-//!   post-processing plus the flow passes ([`optimize_with`]);
+//! * [`opt`] — the residual optimizer in two stages: Unmix-style
+//!   syntactic post-processing ([`postprocess`]) and the flow passes
+//!   ([`optimize`]);
 //! * [`check`] — flow-based verification lints (definite binding,
 //!   dispatch-arm reachability, dead closure slots).
 //!
 //! The crate sits *below* pe-core: the specializer post-processes and
-//! verifies through these analyses, and pe-core re-exports [`s0`] and
-//! [`opt`] under their historical paths (`pe_core::s0`,
-//! `pe_core::post`).
+//! verifies through these analyses, and pe-core re-exports [`s0`] under
+//! its historical path (`pe_core::s0`).
 
 pub mod cfg;
 pub mod check;
@@ -36,8 +36,5 @@ pub mod slots;
 pub mod solver;
 
 pub use check::{check, FlowDiag, FlowSeverity};
-pub use opt::{
-    optimize, optimize_with, optimize_with_traced, postprocess,
-    postprocess_traced, FlowOptions, FlowStats,
-};
+pub use opt::{optimize, postprocess, FlowStats};
 pub use solver::{solve, Analysis, Direction};

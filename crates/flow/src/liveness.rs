@@ -190,16 +190,14 @@ fn mark_sticky(t: &S0Tail, sticky: &mut HashMap<String, Vec<bool>>) {
 
 /// Drops dead, non-sticky parameters of non-entry procedures together
 /// with the corresponding arguments at every call site.  Returns the
-/// rewritten program and the number of parameter bindings eliminated.
+/// number of parameter bindings eliminated.
 ///
 /// # Errors
 ///
-/// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
-pub fn prune_dead_params(
-    p: S0Program,
-    fuel: &mut Fuel,
-) -> Result<(S0Program, usize), Trap> {
-    let pl = param_liveness(&p, fuel)?;
+/// [`Trap::OutOfFuel`] when the analysis budget is exhausted; `p` is
+/// then left as it was.
+pub fn prune_dead_params(p: &mut S0Program, fuel: &mut Fuel) -> Result<usize, Trap> {
+    let pl = param_liveness(p, fuel)?;
     let mut drop: HashMap<String, Vec<usize>> = HashMap::new();
     for q in &p.procs {
         if q.name == p.entry {
@@ -213,17 +211,15 @@ pub fn prune_dead_params(
         }
     }
     if drop.is_empty() {
-        return Ok((p, 0));
+        return Ok(0);
     }
-    let dropped: usize = drop.values().map(Vec::len).sum();
-    let mut p = p;
     for q in &mut p.procs {
         if let Some(idxs) = drop.get(&q.name) {
             q.params = keep_except(&q.params, idxs);
         }
         q.body = rewrite_drop_args(&q.body, &drop);
     }
-    Ok((p, dropped))
+    Ok(drop.values().map(Vec::len).sum())
 }
 
 fn keep_except<T: Clone>(xs: &[T], idxs: &[usize]) -> Vec<T> {
@@ -276,7 +272,7 @@ mod tests {
     fn recursive_passthrough_param_is_dead() {
         // x only circulates through the recursive call: the syntactic
         // scan keeps it; the interprocedural fixpoint kills it.
-        let p = S0Program {
+        let mut q = S0Program {
             entry: "main".into(),
             procs: vec![
                 S0Proc {
@@ -301,7 +297,7 @@ mod tests {
                 },
             ],
         };
-        let (q, dropped) = prune_dead_params(p, &mut fuel()).unwrap();
+        let dropped = prune_dead_params(&mut q, &mut fuel()).unwrap();
         assert_eq!(dropped, 1);
         assert_eq!(q.proc("loop").unwrap().params, vec!["n".to_string()]);
     }
@@ -310,7 +306,7 @@ mod tests {
     fn sticky_args_keep_dead_params() {
         // The dead slot receives (car x) somewhere: dropping the
         // argument would drop a potential fault, so the slot stays.
-        let p = S0Program {
+        let mut q = S0Program {
             entry: "main".into(),
             procs: vec![
                 S0Proc {
@@ -328,7 +324,7 @@ mod tests {
                 },
             ],
         };
-        let (q, dropped) = prune_dead_params(p, &mut fuel()).unwrap();
+        let dropped = prune_dead_params(&mut q, &mut fuel()).unwrap();
         assert_eq!(dropped, 0);
         assert_eq!(q.proc("f").unwrap().params.len(), 2);
     }

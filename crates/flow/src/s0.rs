@@ -20,6 +20,7 @@
 
 use pe_frontend::ast::{Constant, Prim};
 use pe_sexpr::Sexpr;
+use pe_trace::{Phase, Sink};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -247,6 +248,18 @@ impl S0Program {
     /// Total AST node count (for the §8 code-size experiment).
     pub fn size(&self) -> usize {
         self.procs.iter().map(S0Proc::size).sum()
+    }
+
+    /// Spreads `total_ns` of a whole-program pass over the procedures by
+    /// AST node share (the deterministic work measure of such passes)
+    /// and emits one `Event::Attr` row per procedure under `phase`.  The
+    /// parts sum exactly to `total_ns`, so the phase books balance.
+    pub fn attribute_by_size(&self, sink: &mut dyn Sink, phase: Phase, total_ns: u64) {
+        let weights: Vec<u64> = self.procs.iter().map(|q| q.size() as u64).collect();
+        let parts = pe_prof::distribute_ns(total_ns, &weights);
+        for (q, (ns, units)) in self.procs.iter().zip(parts.into_iter().zip(weights)) {
+            sink.attr(phase, &q.name, ns, units);
+        }
     }
 
     /// Renders the program as concrete syntax.

@@ -127,9 +127,9 @@ proptest! {
     ) {
         let s0 = compile_unoptimized(&body);
         let mut fuel = Fuel::new(&GovLimits::default());
-        let (opt, stats) = pe_flow::optimize(s0.clone(), &mut fuel).expect("fuel");
+        let (opt, _) = pe_flow::optimize(s0.clone(), &mut fuel).expect("fuel");
         prop_assert!(opt.size() <= s0.size(), "grew: {} -> {}", s0.size(), opt.size());
-        prop_assert!(stats.cfg_nodes > 0);
+        prop_assert!(pe_flow::cfg::ProgramCfg::build(&opt).node_count() > 0);
         let report = pe_verify::verify(&opt);
         prop_assert!(report.is_clean(), "{report}");
 

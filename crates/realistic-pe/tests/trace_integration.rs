@@ -173,11 +173,11 @@ fn golden_jsonl_shape_for_a_tiny_program() -> R {
         r#"{"type":"attr","phase":"specialize","label":"sl-eval-$1","ns":"#,
         r#"{"type":"span_close","phase":"specialize","depth":0,"dur_ns":"#,
         r#"{"type":"span_open","phase":"post","depth":0}"#,
-        r#"{"type":"attr","phase":"post","label":"id","ns":"#,
         r#"{"type":"span_close","phase":"post","depth":0,"dur_ns":"#,
+        r#"{"type":"attr","phase":"post","label":"id","ns":"#,
         r#"{"type":"span_open","phase":"flow","depth":0}"#,
-        r#"{"type":"attr","phase":"flow","label":"id","ns":"#,
         r#"{"type":"span_close","phase":"flow","depth":0,"dur_ns":"#,
+        r#"{"type":"attr","phase":"flow","label":"id","ns":"#,
         r#"{"type":"counter","name":"cfg_nodes","delta":2}"#,
         r#"{"type":"counter","name":"cfg_edges","delta":1}"#,
         r#"{"type":"counter","name":"residual_procs","delta":1}"#,

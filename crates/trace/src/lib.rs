@@ -1049,12 +1049,12 @@ pub fn begin(sink: &mut dyn Sink, phase: Phase) -> SpanTimer {
     SpanTimer { phase, start: Some(Instant::now()) }
 }
 
-/// Closes the span opened by [`begin`], reporting its duration.
-pub fn end(sink: &mut dyn Sink, timer: SpanTimer) {
-    if let Some(start) = timer.start {
-        let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        sink.span_close(timer.phase, dur);
-    }
+/// Closes the span opened by [`begin`], reporting its duration, and
+/// returns the measured nanoseconds (`None` when the sink is disabled).
+pub fn end(sink: &mut dyn Sink, timer: SpanTimer) -> Option<u64> {
+    let dur = u64::try_from(timer.start?.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    sink.span_close(timer.phase, dur);
+    Some(dur)
 }
 
 /// Emits the three governor gauges from raw meter readings — the

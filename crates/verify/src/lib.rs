@@ -89,14 +89,7 @@ pub fn verify_with(p: &S0Program, sink: &mut dyn pe_trace::Sink) -> Report {
     diagnostics.extend(timed(&lints::check));
     diagnostics.extend(timed(&flow::check));
     if profiled {
-        let weights: Vec<u64> =
-            p.procs.iter().map(|q| q.size() as u64).collect();
-        let parts = pe_prof::distribute_ns(total_ns, &weights);
-        for (proc, (ns, units)) in
-            p.procs.iter().zip(parts.into_iter().zip(weights))
-        {
-            sink.attr(pe_trace::Phase::Verify, &proc.name, ns, units);
-        }
+        p.attribute_by_size(sink, pe_trace::Phase::Verify, total_ns);
     }
     Report::new(diagnostics)
 }

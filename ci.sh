@@ -7,6 +7,9 @@ set -eux
 cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
+# Warning-free rustdoc: intra-doc links must resolve, so a deleted or
+# renamed item cannot leave a stale link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo run --release -p realistic-pe --example verify
 
 # The repository benchmark (its own workspace under perfbench/): its

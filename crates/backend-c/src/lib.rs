@@ -20,18 +20,20 @@
 //! orthogonal, the emitted runtime uses a self-contained bump arena
 //! (documented substitution — benchmarks are sized for it).
 
-use pe_core::{S0Program, S0Simple, S0Tail};
+use pe_core::s0::proc_name;
+use pe_core::{ProcId, S0Proc, S0Program, S0Simple, S0Tail};
 use pe_frontend::ast::{Constant, Prim};
 use pe_governor::{Fuel, Limits};
 use pe_interp::Datum;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+/// Bytes of the bump arena in the emitted runtime.
+const ARENA_BYTES: usize = 256 << 20;
+
 /// Options for the C translation.
 #[derive(Debug, Clone)]
 pub struct COptions {
-    /// Bytes of the bump arena in the emitted runtime.
-    pub arena_bytes: usize,
     /// Elide global-parameter moves that dataflow analysis proves
     /// redundant: identity moves (`gᵢ = pᵢ` when argument *i* is the
     /// caller's own *i*-th parameter, so the global already holds the
@@ -42,7 +44,7 @@ pub struct COptions {
 
 impl Default for COptions {
     fn default() -> Self {
-        COptions { arena_bytes: 256 << 20, elide_moves: true }
+        COptions { elide_moves: true }
     }
 }
 
@@ -63,10 +65,13 @@ impl CProgram {
     }
 }
 
-struct Emitter {
+struct Emitter<'p> {
     out: String,
-    /// S₀ name → sanitized unique C label.
-    labels: HashMap<String, String>,
+    /// The program's procedures, for the spelling of labels.
+    procs: &'p [S0Proc],
+    /// Procedure → sanitized unique C label, assigned on first use.
+    labels: Vec<Option<String>>,
+    /// Spelling → times used, to keep labels unique.
     used: HashMap<String, usize>,
     symbols: Vec<String>,
     strings: Vec<String>,
@@ -76,22 +81,12 @@ struct Emitter {
     moves_elided: usize,
 }
 
-/// Per-procedure dataflow facts driving move elision: which parameter
-/// positions of each procedure are dead (never read), per `pe-flow`
-/// liveness.
-struct MoveFacts<'a> {
-    /// Procedure name → one flag per parameter, `true` when dead.
-    dead: &'a HashMap<&'a str, Vec<bool>>,
-    /// The current procedure's parameters, in declaration order.
-    caller_params: &'a [String],
-}
-
-impl Emitter {
-    fn label_of(&mut self, name: &str) -> String {
-        if let Some(l) = self.labels.get(name) {
+impl Emitter<'_> {
+    fn label_of(&mut self, id: ProcId) -> String {
+        if let Some(Some(l)) = self.labels.get(id.index()) {
             return l.clone();
         }
-        let base: String = name
+        let base: String = proc_name(self.procs, id)
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
             .collect();
@@ -103,7 +98,9 @@ impl Emitter {
         let n = self.used.entry(base.clone()).or_insert(0);
         let unique = if *n == 0 { format!("L_{base}") } else { format!("L_{base}_{n}") };
         *n += 1;
-        self.labels.insert(name.to_string(), unique.clone());
+        if let Some(slot) = self.labels.get_mut(id.index()) {
+            *slot = Some(unique.clone());
+        }
         unique
     }
 
@@ -156,18 +153,18 @@ impl Emitter {
     /// every intermediate result to a fresh single-use temporary,
     /// sequenced with the comma operator (§5.1), and evaluates to the
     /// final temporary.  Temporary declarations accumulate in `temps`.
-    fn simple(&mut self, s: &S0Simple, params: &HashMap<&str, String>, temps: &mut Vec<String>) -> String {
+    fn simple(&mut self, s: &S0Simple, temps: &mut Vec<String>) -> String {
         let expr = match s {
-            S0Simple::Var(v) => return params[v.as_str()].clone(),
+            S0Simple::Var(v) => return format!("p{v}"),
             S0Simple::Const(k) => self.constant(k),
             S0Simple::Prim(op, args) => {
                 let xs: Vec<String> =
-                    args.iter().map(|a| self.simple(a, params, temps)).collect();
+                    args.iter().map(|a| self.simple(a, temps)).collect();
                 prim_call(*op, &xs)
             }
             S0Simple::MakeClosure(l, args) => {
                 let xs: Vec<String> =
-                    args.iter().map(|a| self.simple(a, params, temps)).collect();
+                    args.iter().map(|a| self.simple(a, temps)).collect();
                 let mut call = format!("rt_closure({l}, {}", xs.len());
                 for x in &xs {
                     let _ = write!(call, ", {x}");
@@ -176,11 +173,11 @@ impl Emitter {
                 call
             }
             S0Simple::ClosureLabel(a) => {
-                let x = self.simple(a, params, temps);
+                let x = self.simple(a, temps);
                 format!("rt_closure_label({x})")
             }
             S0Simple::ClosureFreeval(a, i) => {
-                let x = self.simple(a, params, temps);
+                let x = self.simple(a, temps);
                 format!("rt_closure_freeval({x}, {i})")
             }
         };
@@ -189,11 +186,12 @@ impl Emitter {
         format!("({t} = {expr}, {t})")
     }
 
+    /// `dead[f][i]` is true when parameter `i` of procedure `f` is never
+    /// read, per `pe-flow` liveness (empty when elision is off).
     fn tail(
         &mut self,
         t: &S0Tail,
-        params: &HashMap<&str, String>,
-        facts: &MoveFacts<'_>,
+        dead: &[Vec<bool>],
         temps: &mut Vec<String>,
         indent: usize,
         body: &mut String,
@@ -201,15 +199,15 @@ impl Emitter {
         let pad = "  ".repeat(indent);
         match t {
             S0Tail::Return(s) => {
-                let e = self.simple(s, params, temps);
+                let e = self.simple(s, temps);
                 let _ = writeln!(body, "{pad}return {e};");
             }
             S0Tail::If(c, a, b) => {
-                let e = self.simple(c, params, temps);
+                let e = self.simple(c, temps);
                 let _ = writeln!(body, "{pad}if (rt_truthy({e})) {{");
-                self.tail(a, params, facts, temps, indent + 1, body);
+                self.tail(a, dead, temps, indent + 1, body);
                 let _ = writeln!(body, "{pad}}} else {{");
-                self.tail(b, params, facts, temps, indent + 1, body);
+                self.tail(b, dead, temps, indent + 1, body);
                 let _ = writeln!(body, "{pad}}}");
             }
             S0Tail::TailCall(callee, args) => {
@@ -225,11 +223,10 @@ impl Emitter {
                 //   reads parameter *i*, and the argument is a variable or
                 //   constant, so skipping its evaluation cannot suppress a
                 //   runtime error.
-                let dead_target = facts.dead.get(callee.as_str());
+                let dead_target = dead.get(callee.index());
                 for (i, a) in args.iter().enumerate() {
                     if self.elide {
-                        let identity = matches!(a, S0Simple::Var(v)
-                            if facts.caller_params.get(i).map(String::as_str) == Some(v.as_str()));
+                        let identity = matches!(a, S0Simple::Var(v) if *v as usize == i);
                         let dead = dead_target
                             .is_some_and(|d| d.get(i).copied().unwrap_or(false))
                             && matches!(a, S0Simple::Var(_) | S0Simple::Const(_));
@@ -238,10 +235,10 @@ impl Emitter {
                             continue;
                         }
                     }
-                    let x = self.simple(a, params, temps);
+                    let x = self.simple(a, temps);
                     let _ = writeln!(body, "{pad}g{i} = {x};");
                 }
-                let l = self.label_of(callee);
+                let l = self.label_of(*callee);
                 let _ = writeln!(body, "{pad}goto {l};");
             }
             S0Tail::Fail(m) => {
@@ -310,7 +307,8 @@ fn datum_literal(e: &mut Emitter, d: &Datum) -> String {
 pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     let mut e = Emitter {
         out: String::new(),
-        labels: HashMap::new(),
+        procs: &p.procs,
+        labels: vec![None; p.procs.len()],
         used: HashMap::new(),
         symbols: Vec::new(),
         strings: Vec::new(),
@@ -324,37 +322,27 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     // positions never read drive both prologue skipping and dead-target
     // move elision.  A trapped analysis budget degrades to "all live"
     // (no elision), never to a wrong answer.
-    let dead: HashMap<&str, Vec<bool>> = if opts.elide_moves {
+    let dead: Vec<Vec<bool>> = if opts.elide_moves {
         let mut fuel = Fuel::new(&Limits::default());
         p.procs
             .iter()
-            .map(|q| {
-                let flags = match pe_flow::liveness::live_at_entry(q, &mut fuel) {
-                    Ok(live) => q.params.iter().map(|v| !live.contains(v)).collect(),
-                    Err(_) => vec![false; q.params.len()],
-                };
-                (q.name.as_str(), flags)
+            .map(|q| match pe_flow::liveness::live_at_entry(q, &mut fuel) {
+                Ok(live) => (0..q.params.len()).map(|i| !live.contains(&(i as u32))).collect(),
+                Err(_) => vec![false; q.params.len()],
             })
             .collect()
     } else {
-        HashMap::new()
+        Vec::new()
     };
 
     // Bodies first, so the symbol/string tables fill up.
     let mut bodies = String::new();
-    for q in &p.procs {
-        let label = e.label_of(&q.name);
+    for (f, q) in p.procs.iter().enumerate() {
+        let label = e.label_of(ProcId(f as u32));
         let _ = writeln!(bodies, "{label}: {{");
-        let params: HashMap<&str, String> = q
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.as_str(), format!("p{i}")))
-            .collect();
-        let facts = MoveFacts { dead: &dead, caller_params: &q.params };
         // Fresh scope: copy the globals into private parameter
         // variables — except the ones liveness proves are never read.
-        let dead_here = facts.dead.get(q.name.as_str());
+        let dead_here = dead.get(f);
         let mut copied = 0usize;
         for i in 0..q.params.len() {
             if e.elide && dead_here.is_some_and(|d| d[i]) {
@@ -369,7 +357,7 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
         }
         let mut temps = Vec::new();
         let mut body = String::new();
-        e.tail(&q.body, &params, &facts, &mut temps, 1, &mut body);
+        e.tail(&q.body, &dead, &mut temps, 1, &mut body);
         if !temps.is_empty() {
             let _ = writeln!(bodies, "  Obj *{};", temps.join(", *"));
         }
@@ -385,13 +373,13 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
 
     // Now assemble the file.
     let mut out = String::new();
-    out.push_str(&runtime_header(opts, &e.symbols, &e.strings));
+    out.push_str(&runtime_header(&e.symbols, &e.strings));
     let _ = writeln!(out, "/* global parameter variables (§5.1) */");
     for i in 0..e.max_arity.max(args.len()) {
         let _ = writeln!(out, "static Obj *g{i};");
     }
     let _ = writeln!(out, "\nstatic Obj *program(void) {{");
-    let entry_label = e.label_of(&p.entry);
+    let entry_label = e.label_of(p.entry);
     let _ = writeln!(out, "  goto {entry_label};");
     out.push_str(&bodies);
     let _ = writeln!(out, "}}");
@@ -407,7 +395,7 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     CProgram { source: out, moves_elided: e.moves_elided }
 }
 
-fn runtime_header(opts: &COptions, symbols: &[String], strings: &[String]) -> String {
+fn runtime_header(symbols: &[String], strings: &[String]) -> String {
     let mut h = String::new();
     let _ = writeln!(
         h,
@@ -565,7 +553,7 @@ static void rt_print(Obj *o) {{
   }}
 }}
 "##,
-        arena = opts.arena_bytes
+        arena = ARENA_BYTES
     );
     h
 }
@@ -686,7 +674,7 @@ mod tests {
         let off = emit_c(
             &s0,
             &[Datum::Int(5), Datum::Int(0)],
-            &COptions { elide_moves: false, ..COptions::default() },
+            &COptions { elide_moves: false },
         );
         assert!(on.moves_elided >= 1, "no move elided:\n{}", on.source);
         assert_eq!(off.moves_elided, 0);
@@ -701,20 +689,19 @@ mod tests {
 
     #[test]
     fn dead_parameter_prologue_and_moves_are_skipped() {
-        use pe_core::{S0Proc, S0Program};
         // `sink`'s second parameter is never read: its prologue copy is
         // skipped, and the constant argument's move is elided outright.
         // The effectful `cons` argument still evaluates into the global.
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["x".into()],
                     body: S0Tail::TailCall(
-                        "sink".into(),
+                        ProcId(1),
                         vec![
-                            S0Simple::Var("x".into()),
+                            S0Simple::Var(0),
                             S0Simple::Const(pe_frontend::ast::Constant::Int(9)),
                         ],
                     ),
@@ -722,7 +709,7 @@ mod tests {
                 S0Proc {
                     name: "sink".into(),
                     params: vec!["v".into(), "junk".into()],
-                    body: S0Tail::Return(S0Simple::Var("v".into())),
+                    body: S0Tail::Return(S0Simple::Var(0)),
                 },
             ],
         };

@@ -6,8 +6,7 @@
 //! register discipline and instruction counters lives in the `pe-vm`
 //! crate, and the C back end in `pe-backend-c`.
 
-use crate::s0::{S0Program, S0Simple, S0Tail};
-use pe_intern::FxHashMap;
+use crate::s0::{proc_name, var_name, S0Program, S0Simple, S0Tail};
 use pe_interp::value::{apply_prim, Value};
 use pe_interp::{Datum, Fuel, InterpError, Limits};
 use pe_frontend::Prim;
@@ -24,8 +23,8 @@ pub struct S0Closure {
 
 type V = Value<S0Closure>;
 
-/// The frame is the current procedure's parameter names (borrowed from
-/// the program — never cloned per call) beside their values.
+/// The frame is the current procedure's parameter values by slot,
+/// beside their names (borrowed from the program, for errors only).
 struct Frame<'p> {
     params: &'p [String],
     vals: Vec<V>,
@@ -34,11 +33,11 @@ struct Frame<'p> {
 fn eval_simple(s: &S0Simple, frame: &Frame<'_>, fuel: &mut Fuel) -> Result<V, InterpError> {
     match s {
         S0Simple::Var(v) => frame
-            .params
-            .iter()
-            .rposition(|n| n == v)
-            .and_then(|i| frame.vals.get(i).cloned())
-            .ok_or_else(|| InterpError::Unbound(v.clone())),
+            .vals
+            .get(*v as usize)
+            .filter(|_| (*v as usize) < frame.params.len())
+            .cloned()
+            .ok_or_else(|| InterpError::Unbound(var_name(frame.params, *v).into_owned())),
         S0Simple::Const(k) => Ok(Value::from_constant(k)),
         S0Simple::Prim(op, args) => {
             let vals = args
@@ -113,22 +112,15 @@ pub fn run_with(
 }
 
 fn exec(p: &S0Program, args: &[Datum], fuel: &mut Fuel) -> Result<Datum, InterpError> {
-    let entry = p
-        .proc(&p.entry)
-        .ok_or_else(|| InterpError::NoSuchProc(p.entry.clone()))?;
+    let no_such = |id| InterpError::NoSuchProc(proc_name(&p.procs, id).into_owned());
+    let entry = p.procs.get(p.entry.index()).ok_or_else(|| no_such(p.entry))?;
     if entry.params.len() != args.len() {
         return Err(InterpError::EntryArity {
-            name: p.entry.clone(),
+            name: entry.name.clone(),
             expected: entry.params.len(),
             got: args.len(),
         });
     }
-    // Resolve callee names once up front: a tail call then costs one
-    // hash lookup instead of a string-comparing scan over every proc,
-    // and the frame borrows the callee's parameter names rather than
-    // cloning them on each call.
-    let index: FxHashMap<&str, &crate::s0::S0Proc> =
-        p.procs.iter().map(|q| (q.name.as_str(), q)).collect();
     let mut frame = Frame {
         params: &entry.params,
         vals: args.iter().map(Datum::embed).collect(),
@@ -147,9 +139,7 @@ fn exec(p: &S0Program, args: &[Datum], fuel: &mut Fuel) -> Result<Datum, InterpE
                 body = if eval_simple(c, &frame, fuel)?.is_truthy() { t } else { e };
             }
             S0Tail::TailCall(callee, cargs) => {
-                let def = *index
-                    .get(callee.as_str())
-                    .ok_or_else(|| InterpError::NoSuchProc(callee.clone()))?;
+                let def = p.procs.get(callee.index()).ok_or_else(|| no_such(*callee))?;
                 let vals = cargs
                     .iter()
                     .map(|a| eval_simple(a, &frame, fuel))
@@ -165,14 +155,14 @@ fn exec(p: &S0Program, args: &[Datum], fuel: &mut Fuel) -> Result<Datum, InterpE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::s0::S0Proc;
+    use crate::s0::{ProcId, S0Proc};
     use pe_frontend::ast::Constant;
     use pe_frontend::Prim;
 
     #[test]
     fn closures_roundtrip_through_make_and_freeval() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![S0Proc {
                 name: "main".into(),
                 params: vec!["x".into()],
@@ -181,7 +171,7 @@ mod tests {
                         7,
                         vec![
                             S0Simple::Const(Constant::Int(10)),
-                            S0Simple::Var("x".into()),
+                            S0Simple::Var(0),
                         ],
                     )),
                     1,
@@ -194,7 +184,7 @@ mod tests {
     #[test]
     fn closure_label_reads_back() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![S0Proc {
                 name: "main".into(),
                 params: vec![],
@@ -209,7 +199,7 @@ mod tests {
     #[test]
     fn fail_faults() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![S0Proc {
                 name: "main".into(),
                 params: vec![],
@@ -225,23 +215,44 @@ mod tests {
     #[test]
     fn tail_loop_is_flat() {
         let p = S0Program {
-            entry: "loop".into(),
+            entry: ProcId(0),
             procs: vec![S0Proc {
                 name: "loop".into(),
                 params: vec!["n".into()],
                 body: S0Tail::If(
-                    S0Simple::Prim(Prim::ZeroP, vec![S0Simple::Var("n".into())]),
+                    S0Simple::Prim(Prim::ZeroP, vec![S0Simple::Var(0)]),
                     Box::new(S0Tail::Return(S0Simple::Const(Constant::Int(0)))),
                     Box::new(S0Tail::TailCall(
-                        "loop".into(),
+                        ProcId(0),
                         vec![S0Simple::Prim(
                             Prim::Sub,
-                            vec![S0Simple::Var("n".into()), S0Simple::Const(Constant::Int(1))],
+                            vec![S0Simple::Var(0), S0Simple::Const(Constant::Int(1))],
                         )],
                     )),
                 ),
             }],
         };
         assert_eq!(run(&p, &[Datum::Int(2_000_000)], Limits::default()), Ok(Datum::Int(0)));
+    }
+
+    #[test]
+    fn out_of_range_ids_and_slots_are_errors() {
+        let prog = |entry, body| S0Program {
+            entry: ProcId(entry),
+            procs: vec![S0Proc { name: "main".into(), params: vec!["x".into()], body }],
+        };
+        let run1 = |p: &S0Program| run(p, &[Datum::Int(1)], Limits::default());
+        assert_eq!(
+            run1(&prog(0, S0Tail::Return(S0Simple::Var(1)))),
+            Err(InterpError::Unbound("%slot-1".into()))
+        );
+        assert_eq!(
+            run1(&prog(0, S0Tail::TailCall(ProcId(4), vec![]))),
+            Err(InterpError::NoSuchProc("%proc-4".into()))
+        );
+        assert_eq!(
+            run1(&prog(2, S0Tail::Return(S0Simple::Var(0)))),
+            Err(InterpError::NoSuchProc("%proc-2".into()))
+        );
     }
 }

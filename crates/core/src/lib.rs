@@ -45,7 +45,7 @@ pub mod s0 {
 
 pub use desc::{CvId, DescShape, MissingCv, ValDesc};
 pub use pe_governor::{Fuel, Limits, Trap};
-pub use s0::{S0Proc, S0Program, S0Simple, S0Tail};
+pub use s0::{ProcId, S0Proc, S0Program, S0Simple, S0Tail};
 pub use spec::{
     CompileOptions, ControlEvent, ControlKind, GenStrategy, MemoSnapshot, Spec, SpecCounters,
     SpecError,

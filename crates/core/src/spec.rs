@@ -24,7 +24,7 @@
 //!   latter an ordinary runtime list of closures.
 
 use crate::desc::{CvId, DescShape, MissingCv, ValDesc};
-use crate::s0::{S0Proc, S0Program, S0Simple, S0Tail};
+use crate::s0::{ProcId, S0Proc, S0Program, S0Simple, S0Tail};
 use pe_governor::Limits;
 use pe_frontend::ast::{Constant, Prim};
 use pe_frontend::dast::{DLabel, DProgram, LamId, SimpleExpr, TailExpr, VarId};
@@ -47,6 +47,20 @@ pub enum GenStrategy {
     Offline,
 }
 
+/// Descriptions larger than this are generalized (safety valve, far
+/// beyond anything the benchmark suite produces).
+const MAX_DESC_SIZE: usize = 512;
+
+/// Bounded-static-variation widening: when one variable slot of one
+/// specialization point has been seen with more than this many distinct
+/// fully static values, the slot is generalized from then on.  Catches
+/// static data that *grows* under dynamic control (e.g. a counter
+/// incremented around a dynamic loop), which the §4.5 self-embedding
+/// test cannot see because base values have no creation sites.  Static
+/// unfolding below the threshold (the specializer projections' use
+/// case) is unaffected.
+const WIDEN_THRESHOLD: usize = 40;
+
 /// Compiler configuration.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
@@ -66,18 +80,6 @@ pub struct CompileOptions {
     /// procedure count and `max_unfold_depth` the static unfolding depth
     /// within one residual body.
     pub limits: Limits,
-    /// Descriptions larger than this are generalized (safety valve, far
-    /// beyond anything the benchmark suite produces).
-    pub max_desc_size: usize,
-    /// Bounded-static-variation widening: when one variable slot of one
-    /// specialization point has been seen with more than this many
-    /// distinct fully static values, the slot is generalized from then
-    /// on.  Catches static data that *grows* under dynamic control
-    /// (e.g. a counter incremented around a dynamic loop), which the
-    /// §4.5 self-embedding test cannot see because base values have no
-    /// creation sites.  Static unfolding below the threshold (the
-    /// specializer projections' use case) is unaffected.
-    pub widen_threshold: usize,
     /// Run the size-change termination analysis (`pe-sct`) before
     /// specializing: provably-divergent programs are refused with
     /// [`SpecError::SctDiverges`] before any fuel is spent, slots with
@@ -95,8 +97,6 @@ impl Default for CompileOptions {
             flow: true,
             trick_flow: true,
             limits: Limits::default(),
-            max_desc_size: 512,
-            widen_threshold: 40,
             sct: true,
         }
     }
@@ -235,7 +235,7 @@ struct PendingProc<'p> {
 /// cannot detect.
 #[derive(Debug, Clone, Default)]
 pub struct MemoSnapshot {
-    memo: FxHashMap<Key, String>,
+    memo: FxHashMap<Key, ProcId>,
     /// Residual procedures emitted for the memoized points (everything
     /// except the entry wrapper), in emission order.
     procs: Vec<S0Proc>,
@@ -357,7 +357,9 @@ pub struct Spec<'p> {
     flow: &'p FlowAnalysis,
     gen: &'p GenAnalysis,
     opts: CompileOptions,
-    memo: FxHashMap<Key, String>,
+    /// Specialization point → its residual procedure, `sl-eval-$n` at
+    /// position n (the entry wrapper is position 0).
+    memo: FxHashMap<Key, ProcId>,
     pending: VecDeque<PendingProc<'p>>,
     done: Vec<S0Proc>,
     next_cv: CvId,
@@ -621,7 +623,7 @@ impl<'p> Spec<'p> {
                 None => {
                     let cv = self.fresh_cv();
                     let name = unique_param_name(&self.dp.var_names[param.0 as usize], &params);
-                    sigma.insert(cv, S0Simple::Var(name.clone()));
+                    sigma.insert(cv, S0Simple::Var(params.len() as u32));
                     params.push(name);
                     env.insert(
                         param,
@@ -655,7 +657,7 @@ impl<'p> Spec<'p> {
             self.done.push(proc);
         }
         procs.append(&mut self.done);
-        Ok(S0Program { procs, entry: residual_name })
+        Ok(S0Program { procs, entry: ProcId(0) })
     }
 
     /// Emits the per-residual-procedure cost rows recorded by
@@ -918,7 +920,7 @@ impl<'p> Spec<'p> {
                 let shape: Vec<DescShape> = tau.prefix.iter().map(|d| d.shape(&idx)).collect();
                 let seen = self.prefix_variety.entry(label).or_default();
                 seen.insert(shape);
-                if seen.len() > self.opts.widen_threshold {
+                if seen.len() > WIDEN_THRESHOLD {
                     self.widened_prefix.insert(label);
                     self.counters.widenings += 1;
                     self.events.push(ControlEvent {
@@ -939,7 +941,7 @@ impl<'p> Spec<'p> {
             .filter(|(v, _)| live.contains(v))
             .map(|(v, d)| (*v, d.clone()))
             .collect();
-        // Bounded-static-variation widening (see CompileOptions),
+        // Bounded-static-variation widening (see WIDEN_THRESHOLD),
         // short-circuited in both directions by the SCT verdict tables:
         // slots with provable structural descent need no variety
         // tracking at all, and slots with provable in-situ growth are
@@ -972,7 +974,7 @@ impl<'p> Spec<'p> {
             if let Some(k) = d.as_constant() {
                 let seen = self.static_variety.entry(slot).or_default();
                 seen.insert(k);
-                if seen.len() > self.opts.widen_threshold {
+                if seen.len() > WIDEN_THRESHOLD {
                     self.widened.insert(slot);
                     self.counters.widenings += 1;
                     self.events.push(ControlEvent {
@@ -1010,17 +1012,14 @@ impl<'p> Spec<'p> {
             .map(|cv| sigma.get(cv).cloned().ok_or(MissingCv(*cv)))
             .collect::<Result<_, _>>()?;
         self.counters.memo_lookups += 1;
-        if let Some(name) = self.memo.get(&key) {
+        if let Some(&id) = self.memo.get(&key) {
             self.counters.memo_hits += 1;
-            return Ok(S0Tail::TailCall(name.clone(), args));
+            return Ok(S0Tail::TailCall(id, args));
         }
         self.counters.memo_misses += 1;
         self.next_proc += 1;
-        let name = format!("sl-eval-${}", self.next_proc);
-        if std::env::var("PE_SPEC_DEBUG").is_ok() {
-            eprintln!("[spec] {name} label={:?} params={} key={:?}", key.label, order.len(), key);
-        }
-        self.memo.insert(key, name.clone());
+        let id = ProcId(self.next_proc);
+        self.memo.insert(key, id);
         if self.memo.len() > self.opts.limits.max_residual {
             return Err(SpecError::Budget { procs: self.opts.limits.max_residual });
         }
@@ -1033,9 +1032,8 @@ impl<'p> Spec<'p> {
         for (i, &old) in order.iter().enumerate() {
             let fresh = self.fresh_cv();
             rename.insert(old, fresh);
-            let pname = format!("cv-vals-${}", i + 1);
-            new_sigma.insert(fresh, S0Simple::Var(pname.clone()));
-            params.push(pname);
+            new_sigma.insert(fresh, S0Simple::Var(i as u32));
+            params.push(format!("cv-vals-${}", i + 1));
         }
         let new_env: Env = env_live
             .iter()
@@ -1050,14 +1048,14 @@ impl<'p> Spec<'p> {
             dyn_rest: tau.dyn_rest.as_ref().map(|d| d.rename_cvs(&rename)).transpose()?,
         };
         self.pending.push_back(PendingProc {
-            name: name.clone(),
+            name: format!("sl-eval-${}", id.0),
             params,
             te,
             env: new_env,
             tau: new_tau,
             sigma: new_sigma,
         });
-        Ok(S0Tail::TailCall(name, args))
+        Ok(S0Tail::TailCall(id, args))
     }
 
     // ------------------------------------------------------------------
@@ -1094,7 +1092,7 @@ impl<'p> Spec<'p> {
                 let must_gen = (self.opts.strategy == GenStrategy::Offline
                     && self.gen.lam_is_critical(*id)
                     && !d.is_fully_static())
-                    || d.size() > self.opts.max_desc_size;
+                    || d.size() > MAX_DESC_SIZE;
                 if must_gen { self.generalize(d, sigma) } else { Ok(d) }
             }
             SimpleExpr::Prim(l, op, args) => {
@@ -1134,7 +1132,7 @@ impl<'p> Spec<'p> {
                 // makes specialization of e.g. deriv diverge).
                 let must_gen = (self.opts.strategy == GenStrategy::Offline
                     && self.gen.cons_is_critical(site))
-                    || d.size() > self.opts.max_desc_size;
+                    || d.size() > MAX_DESC_SIZE;
                 if must_gen {
                     self.generalize(d, sigma)
                 } else {
@@ -1268,14 +1266,14 @@ impl<'p> Spec<'p> {
         let vars: Vec<VarId> = env.keys().copied().collect();
         for v in vars {
             let d = env[&v].clone();
-            if d.is_self_embedding() || d.size() > self.opts.max_desc_size {
+            if d.is_self_embedding() || d.size() > MAX_DESC_SIZE {
                 let g = self.generalize(d, sigma)?;
                 env.insert(v, g);
             }
         }
         for i in 0..tau.prefix.len() {
             let d = tau.prefix[i].clone();
-            if d.is_self_embedding() || d.size() > self.opts.max_desc_size {
+            if d.is_self_embedding() || d.size() > MAX_DESC_SIZE {
                 tau.prefix[i] = self.generalize(d, sigma)?;
             }
         }

@@ -1,7 +1,7 @@
 //! Golden tests: residual programs for key inputs have exactly the
 //! structure the paper describes — not just the right behaviour.
 
-use pe_core::{compile, specialize, CompileOptions, GenStrategy, S0Simple, S0Tail};
+use pe_core::{compile, specialize, CompileOptions, GenStrategy, ProcId, S0Simple, S0Tail};
 use pe_frontend::{desugar, parse_source};
 use pe_interp::Datum;
 
@@ -31,7 +31,7 @@ fn tail_loop_compiles_to_itself() {
     let S0Tail::TailCall(callee, args) = &**f else {
         panic!("expected self tail call")
     };
-    assert_eq!(*callee, s0.procs[0].name);
+    assert_eq!(*callee, ProcId(0));
     assert_eq!(args.len(), 2);
     // No closure machinery at all: the program was already tail form.
     assert!(!s0.to_source().contains("closure"), "{s0}");
@@ -133,11 +133,16 @@ fn residual_naming_scheme() {
         "go",
         &CompileOptions { postprocess: false, ..CompileOptions::default() },
     );
-    assert!(raw.procs.iter().skip(1).all(|p| p.name.starts_with("sl-eval-$")), "{raw}");
+    // `sl-eval-$n` sits at position n, after the entry wrapper.
+    assert!(
+        raw.procs.iter().enumerate().skip(1).all(|(n, p)| p.name == format!("sl-eval-${n}")),
+        "{raw}"
+    );
     assert!(raw
         .procs
         .iter()
         .skip(1)
         .all(|p| p.params.iter().all(|v| v.starts_with("cv-vals-$"))));
-    assert_eq!(raw.entry, "go");
+    assert_eq!(raw.entry, ProcId(0));
+    assert_eq!(raw.procs[0].name, "go");
 }

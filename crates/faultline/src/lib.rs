@@ -638,7 +638,7 @@ mod tests {
                     .compile(b.entry, &CompileOptions::default())
                     .map_err(|e| e.to_string())?;
                 for p in &s0.procs {
-                    let e = p.to_sexpr();
+                    let e = p.to_sexpr(&s0.procs);
                     for width in [10, 40, 80] {
                         let printed = pe_sexpr::pretty_width(&e, width);
                         let back = pe_sexpr::read_one(&printed)

@@ -10,7 +10,7 @@
 //! on but every analysis gets to exploit: fixpoints converge in one
 //! pass per topological order.
 
-use crate::s0::{S0Proc, S0Program, S0Simple, S0Tail};
+use crate::s0::{ProcId, S0Proc, S0Program, S0Simple, S0Tail};
 
 /// One CFG node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,7 +23,7 @@ pub enum Node {
     /// A `Return` leaf: evaluate the expression and return it.
     Return(S0Simple),
     /// A tail call leaf: evaluate the arguments, transfer control.
-    Call(String, Vec<S0Simple>),
+    Call(ProcId, Vec<S0Simple>),
     /// A `%fail` leaf.
     Fail(String),
 }
@@ -67,7 +67,7 @@ impl Cfg {
     fn add_tail(&mut self, t: &S0Tail) -> usize {
         match t {
             S0Tail::Return(s) => self.add(Node::Return(s.clone())),
-            S0Tail::TailCall(p, args) => self.add(Node::Call(p.clone(), args.clone())),
+            S0Tail::TailCall(p, args) => self.add(Node::Call(*p, args.clone())),
             S0Tail::Fail(m) => self.add(Node::Fail(m.clone())),
             S0Tail::If(c, a, b) => {
                 let n = self.add(Node::Branch(c.clone()));
@@ -95,29 +95,27 @@ impl Cfg {
 /// The CFGs of every procedure in a program.
 #[derive(Debug, Clone)]
 pub struct ProgramCfg {
-    /// One `(name, cfg)` pair per procedure, in program order.
-    pub procs: Vec<(String, Cfg)>,
+    /// One graph per procedure, indexed by [`ProcId`].
+    pub procs: Vec<Cfg>,
 }
 
 impl ProgramCfg {
     /// Builds all per-procedure CFGs.
     #[must_use]
     pub fn build(p: &S0Program) -> ProgramCfg {
-        ProgramCfg {
-            procs: p.procs.iter().map(|q| (q.name.clone(), Cfg::build(q))).collect(),
-        }
+        ProgramCfg { procs: p.procs.iter().map(Cfg::build).collect() }
     }
 
     /// Total node count across procedures.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.procs.iter().map(|(_, c)| c.node_count()).sum()
+        self.procs.iter().map(Cfg::node_count).sum()
     }
 
     /// Total edge count across procedures.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.procs.iter().map(|(_, c)| c.edge_count()).sum()
+        self.procs.iter().map(Cfg::edge_count).sum()
     }
 }
 
@@ -127,16 +125,12 @@ mod tests {
     use pe_frontend::ast::Constant;
     use pe_frontend::Prim;
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
-    }
-
     #[test]
     fn straight_line_body_is_entry_plus_leaf() {
         let p = S0Proc {
             name: "f".into(),
             params: vec!["x".into()],
-            body: S0Tail::Return(var("x")),
+            body: S0Tail::Return(S0Simple::Var(0)),
         };
         let cfg = Cfg::build(&p);
         assert_eq!(cfg.node_count(), 2);
@@ -151,9 +145,9 @@ mod tests {
             name: "f".into(),
             params: vec!["n".into()],
             body: S0Tail::If(
-                S0Simple::Prim(Prim::ZeroP, vec![var("n")]),
+                S0Simple::Prim(Prim::ZeroP, vec![S0Simple::Var(0)]),
                 Box::new(S0Tail::Return(S0Simple::Const(Constant::Int(0)))),
-                Box::new(S0Tail::TailCall("f".into(), vec![var("n")])),
+                Box::new(S0Tail::TailCall(ProcId(0), vec![S0Simple::Var(0)])),
             ),
         };
         let cfg = Cfg::build(&p);
@@ -170,7 +164,7 @@ mod tests {
     #[test]
     fn program_cfg_totals_are_sums() {
         let p = S0Program {
-            entry: "a".into(),
+            entry: ProcId(0),
             procs: vec![
                 S0Proc { name: "a".into(), params: vec![], body: S0Tail::Fail("x".into()) },
                 S0Proc { name: "b".into(), params: vec![], body: S0Tail::Fail("y".into()) },

@@ -1,15 +1,13 @@
 //! Flow-based verification of S₀ programs.
 //!
-//! Three checks, all driven by the analyses in this crate rather than
-//! syntax walks:
+//! Three checks:
 //!
-//! * **definite binding** (error) — every variable read at a reachable
-//!   program point is definitely bound along *all* paths reaching it,
-//!   established by a forward must-analysis on the CFG (the definite
-//!   set is intersected over predecessors; unreachable nodes carry no
-//!   obligation).  Calls to unknown procedures and arity mismatches
-//!   are reported here too — binding obligations cross procedures
-//!   through calls.
+//! * **definite binding** (error) — every variable read is bound along
+//!   *all* paths reaching it.  S₀ binds only at procedure entry, so that
+//!   holds exactly when the read's slot is one of the procedure's
+//!   parameters: a range check per tail node.  Calls to unknown
+//!   procedures and arity mismatches are reported here too — binding
+//!   obligations cross procedures through calls.
 //! * **dispatch-arm reachability** (warning) — a dispatch arm the label
 //!   analysis proves always or never taken is residual noise the
 //!   optimizer would fold; reported via [`crate::slots::arm_findings`].
@@ -20,11 +18,9 @@
 //! warning lints by construction: the lints mirror the optimizer's own
 //! analyses, so anything they would flag has already been rewritten.
 
-use crate::cfg::{Cfg, Node};
-use crate::s0::{S0Program, S0Simple};
-use crate::solver::{solve, Analysis, Direction};
+use crate::s0::{proc_name, var_name, S0Proc, S0Program, S0Simple, S0Tail};
 use pe_governor::{Fuel, Trap};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,56 +43,45 @@ pub struct FlowDiag {
     pub message: String,
 }
 
-/// Definite binding as a forward must-analysis: the fact is the set of
-/// variables definitely bound on *every* path to the point, `None`
-/// meaning "unreachable" (the lattice bottom, neutral for the
-/// intersection join).
-struct DefiniteBinding {
-    params: BTreeSet<String>,
-}
-
-impl Analysis for DefiniteBinding {
-    type Fact = Option<BTreeSet<String>>;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary(&self) -> Self::Fact {
-        Some(self.params.clone())
-    }
-
-    fn bottom(&self) -> Self::Fact {
-        None
-    }
-
-    fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool {
-        match (&*into, from) {
-            (_, None) => false,
-            (None, Some(_)) => {
-                *into = from.clone();
-                true
+/// Reports the reads of out-of-range slots and the calls to unknown
+/// procedures or with the wrong arity in `t`, node by node in program
+/// order.
+fn check_bindings(q: &S0Proc, t: &S0Tail, procs: &[S0Proc], out: &mut Vec<FlowDiag>) {
+    let mut err = |message| {
+        out.push(FlowDiag { severity: FlowSeverity::Error, proc: q.name.clone(), message });
+    };
+    let reads: &[S0Simple] = match t {
+        S0Tail::Return(s) | S0Tail::If(s, _, _) => std::slice::from_ref(s),
+        S0Tail::TailCall(_, args) => args,
+        S0Tail::Fail(_) => &[],
+    };
+    let mut unbound = BTreeSet::new();
+    for s in reads {
+        s.vars(&mut |v| {
+            if v as usize >= q.params.len() {
+                unbound.insert(v);
             }
-            (Some(a), Some(b)) => {
-                let meet: BTreeSet<String> = a.intersection(b).cloned().collect();
-                let changed = meet.len() != a.len();
-                *into = Some(meet);
-                changed
-            }
+        });
+    }
+    for v in unbound {
+        err(format!("variable `{}` read but not definitely bound", var_name(&q.params, v)));
+    }
+    match t {
+        S0Tail::TailCall(callee, args) => match procs.get(callee.index()) {
+            None => err(format!("call to unknown procedure `{}`", proc_name(procs, *callee))),
+            Some(c) if c.params.len() != args.len() => err(format!(
+                "call to `{}` passes {} arguments, expects {}",
+                c.name,
+                args.len(),
+                c.params.len()
+            )),
+            Some(_) => {}
+        },
+        S0Tail::If(_, a, b) => {
+            check_bindings(q, a, procs, out);
+            check_bindings(q, b, procs, out);
         }
-    }
-
-    // S₀ binds only at procedure entry: nodes neither add nor kill.
-    fn transfer(&self, _node: &Node, fact: &Self::Fact) -> Self::Fact {
-        fact.clone()
-    }
-}
-
-fn node_reads(node: &Node, out: &mut HashSet<String>) {
-    match node {
-        Node::Entry | Node::Fail(_) => {}
-        Node::Branch(c) | Node::Return(c) => c.vars(out),
-        Node::Call(_, args) => args.iter().for_each(|a| a.vars(out)),
+        S0Tail::Return(_) | S0Tail::Fail(_) => {}
     }
 }
 
@@ -107,64 +92,29 @@ fn node_reads(node: &Node, out: &mut HashSet<String>) {
 /// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
 pub fn check(p: &S0Program, fuel: &mut Fuel) -> Result<Vec<FlowDiag>, Trap> {
     let mut diags = Vec::new();
-    let arities: HashMap<&str, usize> =
-        p.procs.iter().map(|q| (q.name.as_str(), q.params.len())).collect();
     for q in &p.procs {
         fuel.step()?;
-        // Definite binding at every reachable point.
-        let cfg = Cfg::build(q);
-        let analysis = DefiniteBinding { params: q.params.iter().cloned().collect() };
-        let facts = solve(&cfg, &analysis, fuel)?;
-        for (i, node) in cfg.nodes.iter().enumerate() {
-            let Some(bound) = &facts[i] else { continue };
-            let mut reads = HashSet::new();
-            node_reads(node, &mut reads);
-            let mut unbound: Vec<&String> =
-                reads.iter().filter(|v| !bound.contains(*v)).collect();
-            unbound.sort();
-            for v in unbound {
-                diags.push(FlowDiag {
-                    severity: FlowSeverity::Error,
-                    proc: q.name.clone(),
-                    message: format!("variable `{v}` read but not definitely bound"),
-                });
-            }
-            // Binding obligations across calls: target and arity.
-            if let Node::Call(callee, args) = node {
-                match arities.get(callee.as_str()) {
-                    None => diags.push(FlowDiag {
-                        severity: FlowSeverity::Error,
-                        proc: q.name.clone(),
-                        message: format!("call to unknown procedure `{callee}`"),
-                    }),
-                    Some(&n) if n != args.len() => diags.push(FlowDiag {
-                        severity: FlowSeverity::Error,
-                        proc: q.name.clone(),
-                        message: format!(
-                            "call to `{callee}` passes {} arguments, expects {n}",
-                            args.len()
-                        ),
-                    }),
-                    Some(_) => {}
-                }
-            }
-        }
+        check_bindings(q, &q.body, &p.procs, &mut diags);
     }
     // Dispatch arms decidable from label sets alone.
     for f in crate::slots::arm_findings(p, fuel)? {
         let what = if f.always { "always" } else { "never" };
         diags.push(FlowDiag {
             severity: FlowSeverity::Warning,
-            proc: f.proc,
+            proc: proc_name(&p.procs, f.proc).into_owned(),
             message: format!("dispatch on closure label {} {what} matches", f.label),
         });
     }
     // Capture slots never read at any definite site.
     let sa = crate::slots::analyze(p, fuel)?;
     for (l, idxs) in &sa.prune {
+        let owner = match p.procs.iter().find(|q| allocates(&q.body, *l)) {
+            Some(q) => q.name.clone(),
+            None => proc_name(&p.procs, p.entry).into_owned(),
+        };
         diags.push(FlowDiag {
             severity: FlowSeverity::Warning,
-            proc: proc_of_label(p, *l).unwrap_or_else(|| p.entry.clone()),
+            proc: owner,
             message: format!(
                 "closure label {l}: capture slot{} {} never read (prunable)",
                 if idxs.len() == 1 { "" } else { "s" },
@@ -175,8 +125,8 @@ pub fn check(p: &S0Program, fuel: &mut Fuel) -> Result<Vec<FlowDiag>, Trap> {
     Ok(diags)
 }
 
-/// Finds the procedure allocating label `l`, for anchoring diagnostics.
-fn proc_of_label(p: &S0Program, l: u32) -> Option<String> {
+/// Whether `t` allocates label `l`, for anchoring diagnostics.
+fn allocates(t: &S0Tail, l: u32) -> bool {
     fn in_simple(s: &S0Simple, l: u32) -> bool {
         match s {
             S0Simple::Var(_) | S0Simple::Const(_) => false,
@@ -187,27 +137,23 @@ fn proc_of_label(p: &S0Program, l: u32) -> Option<String> {
             S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => in_simple(a, l),
         }
     }
-    fn in_tail(t: &crate::s0::S0Tail, l: u32) -> bool {
-        use crate::s0::S0Tail;
-        match t {
-            S0Tail::Return(s) => in_simple(s, l),
-            S0Tail::Fail(_) => false,
-            S0Tail::If(c, a, b) => in_simple(c, l) || in_tail(a, l) || in_tail(b, l),
-            S0Tail::TailCall(_, args) => args.iter().any(|a| in_simple(a, l)),
-        }
+    match t {
+        S0Tail::Return(s) => in_simple(s, l),
+        S0Tail::Fail(_) => false,
+        S0Tail::If(c, a, b) => in_simple(c, l) || allocates(a, l) || allocates(b, l),
+        S0Tail::TailCall(_, args) => args.iter().any(|a| in_simple(a, l)),
     }
-    p.procs.iter().find(|q| in_tail(&q.body, l)).map(|q| q.name.clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::s0::{S0Proc, S0Tail};
+    use crate::s0::ProcId;
     use pe_frontend::ast::Constant;
     use pe_governor::Limits;
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
+    fn var(slot: u32) -> S0Simple {
+        S0Simple::Var(slot)
     }
 
     fn kint(n: i64) -> S0Simple {
@@ -221,11 +167,11 @@ mod tests {
     #[test]
     fn wellformed_program_is_clean() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![S0Proc {
                 name: "main".into(),
                 params: vec!["x".into()],
-                body: S0Tail::Return(var("x")),
+                body: S0Tail::Return(var(0)),
             }],
         };
         assert!(check(&p, &mut fuel()).unwrap().is_empty());
@@ -234,21 +180,21 @@ mod tests {
     #[test]
     fn unbound_reads_and_bad_calls_are_errors() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["x".into()],
                     body: S0Tail::If(
-                        var("x"),
-                        Box::new(S0Tail::Return(var("ghost"))),
-                        Box::new(S0Tail::TailCall("f".into(), vec![kint(1), kint(2)])),
+                        var(0),
+                        Box::new(S0Tail::Return(var(1))),
+                        Box::new(S0Tail::TailCall(ProcId(1), vec![kint(1), kint(2)])),
                     ),
                 },
                 S0Proc {
                     name: "f".into(),
                     params: vec!["a".into()],
-                    body: S0Tail::TailCall("nowhere".into(), vec![var("a")]),
+                    body: S0Tail::TailCall(ProcId(7), vec![var(0)]),
                 },
             ],
         };
@@ -259,28 +205,28 @@ mod tests {
             .map(|d| d.message.as_str())
             .collect();
         assert_eq!(errors.len(), 3, "{errors:?}");
-        assert!(errors.iter().any(|m| m.contains("`ghost`")));
+        assert!(errors.iter().any(|m| m.contains("variable `%slot-1` read")));
         assert!(errors.iter().any(|m| m.contains("expects 1")));
-        assert!(errors.iter().any(|m| m.contains("unknown procedure `nowhere`")));
+        assert!(errors.iter().any(|m| m.contains("unknown procedure `%proc-7`")));
     }
 
     #[test]
     fn dead_slots_are_warnings_until_optimized() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["a".into(), "b".into()],
                     body: S0Tail::TailCall(
-                        "k".into(),
-                        vec![S0Simple::MakeClosure(4, vec![var("a"), var("b")])],
+                        ProcId(1),
+                        vec![S0Simple::MakeClosure(4, vec![var(0), var(1)])],
                     ),
                 },
                 S0Proc {
                     name: "k".into(),
                     params: vec!["c".into()],
-                    body: S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var("c")), 0)),
+                    body: S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var(0)), 0)),
                 },
             ],
         };
@@ -300,14 +246,14 @@ mod tests {
     #[test]
     fn decidable_dispatch_arms_are_warnings() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["a".into()],
                     body: S0Tail::TailCall(
-                        "k".into(),
-                        vec![S0Simple::MakeClosure(2, vec![var("a")])],
+                        ProcId(1),
+                        vec![S0Simple::MakeClosure(2, vec![var(0)])],
                     ),
                 },
                 S0Proc {
@@ -316,11 +262,11 @@ mod tests {
                     body: S0Tail::If(
                         S0Simple::Prim(
                             pe_frontend::Prim::EqualP,
-                            vec![kint(9), S0Simple::ClosureLabel(Box::new(var("c")))],
+                            vec![kint(9), S0Simple::ClosureLabel(Box::new(var(0)))],
                         ),
                         Box::new(S0Tail::Fail("unreachable".into())),
                         Box::new(S0Tail::Return(S0Simple::ClosureFreeval(
-                            Box::new(var("c")),
+                            Box::new(var(0)),
                             0,
                         ))),
                     ),
@@ -338,25 +284,23 @@ mod tests {
 
     #[test]
     fn unreachable_nodes_carry_no_binding_obligation() {
-        // A constant-false branch guards a read of a variable that is
-        // bound on that (dead) path only in spirit; definite binding
-        // must still flag it because the node IS reachable in the CFG.
-        // Conversely a node behind no predecessors at all would carry
-        // None facts — the S₀ CFG has no such nodes by construction,
-        // so we assert the reachable-read error fires.
+        // A constant-false branch guards a read of a slot main does not
+        // have.  Every node of an S₀ body is reachable in its CFG, so
+        // the binding check flags the read even on a branch that can
+        // never run.
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![S0Proc {
                 name: "main".into(),
                 params: vec![],
                 body: S0Tail::If(
                     S0Simple::Const(Constant::Bool(false)),
-                    Box::new(S0Tail::Return(var("phantom"))),
+                    Box::new(S0Tail::Return(var(0))),
                     Box::new(S0Tail::Return(kint(0))),
                 ),
             }],
         };
         let diags = check(&p, &mut fuel()).unwrap();
-        assert!(diags.iter().any(|d| d.message.contains("`phantom`")), "{diags:?}");
+        assert!(diags.iter().any(|d| d.message.contains("`%slot-0`")), "{diags:?}");
     }
 }

@@ -21,10 +21,9 @@
 //! dead-parameter pruning afterwards), counting replaced occurrences —
 //! the `copies_propagated` counter.
 
-use crate::s0::{S0Program, S0Simple, S0Tail};
+use crate::s0::{S0Program, S0Simple};
 use pe_frontend::ast::Constant;
 use pe_governor::{Fuel, Trap};
-use std::collections::HashMap;
 
 /// One parameter's abstract value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,26 +57,15 @@ impl CVal {
 /// Per-procedure parameter facts.
 #[derive(Debug, Clone)]
 pub struct ConstFacts {
-    /// `params[name][i]` — abstract value of parameter `i` of `name`.
-    pub params: HashMap<String, Vec<CVal>>,
+    /// `params[f][i]` — abstract value of parameter `i` of procedure `f`.
+    pub params: Vec<Vec<CVal>>,
 }
 
-fn eval_arg(arg: &S0Simple, env: &HashMap<&str, CVal>) -> CVal {
+fn eval_arg(arg: &S0Simple, env: &[CVal]) -> CVal {
     match arg {
         S0Simple::Const(k) => CVal::Known(k.clone()),
-        S0Simple::Var(v) => env.get(v.as_str()).cloned().unwrap_or(CVal::Top),
+        S0Simple::Var(v) => env.get(*v as usize).cloned().unwrap_or(CVal::Top),
         _ => CVal::Top,
-    }
-}
-
-fn visit_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple])) {
-    match t {
-        S0Tail::Return(_) | S0Tail::Fail(_) => {}
-        S0Tail::If(_, a, b) => {
-            visit_calls(a, f);
-            visit_calls(b, f);
-        }
-        S0Tail::TailCall(p, args) => f(p, args),
     }
 }
 
@@ -88,67 +76,32 @@ fn visit_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple])) {
 ///
 /// [`Trap::OutOfFuel`] when the budget is exhausted before convergence.
 pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<ConstFacts, Trap> {
-    let mut facts: HashMap<String, Vec<CVal>> = p
-        .procs
-        .iter()
-        .map(|q| (q.name.clone(), vec![CVal::Bottom; q.params.len()]))
-        .collect();
-    if let Some(e) = facts.get_mut(&p.entry) {
+    let mut facts: Vec<Vec<CVal>> =
+        p.procs.iter().map(|q| vec![CVal::Bottom; q.params.len()]).collect();
+    if let Some(e) = facts.get_mut(p.entry.index()) {
         e.iter_mut().for_each(|v| *v = CVal::Top);
     }
     loop {
         fuel.step()?;
         let mut changed = false;
-        for q in &p.procs {
+        for (f, q) in p.procs.iter().enumerate() {
             fuel.step()?;
-            let env: HashMap<&str, CVal> = {
-                let row = &facts[&q.name];
-                q.params
-                    .iter()
-                    .enumerate()
-                    .map(|(i, pm)| (pm.as_str(), row[i].clone()))
-                    .collect()
-            };
+            let env = facts[f].clone();
             // Joining every syntactic call is sound (an over-approximation
             // of the real callers); unreachable callers only push facts
             // toward Top, and a Bottom-environment variable contributes
             // nothing.
-            let mut updates: Vec<(String, usize, CVal)> = Vec::new();
-            visit_calls(&q.body, &mut |callee, args| {
+            q.body.calls(&mut |callee, args| {
                 for (i, a) in args.iter().enumerate() {
-                    updates.push((callee.to_string(), i, eval_arg(a, &env)));
+                    if let Some(slot) = facts.get_mut(callee.index()).and_then(|row| row.get_mut(i)) {
+                        changed |= slot.join(&eval_arg(a, &env));
+                    }
                 }
             });
-            for (callee, i, v) in updates {
-                if let Some(slot) =
-                    facts.get_mut(&callee).and_then(|row| row.get_mut(i))
-                {
-                    changed |= slot.join(&v);
-                }
-            }
         }
         if !changed {
             return Ok(ConstFacts { params: facts });
         }
-    }
-}
-
-fn count_uses(t: &S0Tail, v: &str) -> usize {
-    fn simple(s: &S0Simple, v: &str) -> usize {
-        match s {
-            S0Simple::Var(x) => usize::from(x == v),
-            S0Simple::Const(_) => 0,
-            S0Simple::Prim(_, args) | S0Simple::MakeClosure(_, args) => {
-                args.iter().map(|a| simple(a, v)).sum()
-            }
-            S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => simple(a, v),
-        }
-    }
-    match t {
-        S0Tail::Return(s) => simple(s, v),
-        S0Tail::If(c, a, b) => simple(c, v) + count_uses(a, v) + count_uses(b, v),
-        S0Tail::TailCall(_, args) => args.iter().map(|a| simple(a, v)).sum(),
-        S0Tail::Fail(_) => 0,
     }
 }
 
@@ -163,24 +116,22 @@ pub fn propagate(p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, usize), Tr
     let facts = analyze(&p, fuel)?;
     let mut replaced = 0usize;
     let mut p = p;
-    for q in &mut p.procs {
-        let row = &facts.params[&q.name];
-        let map: HashMap<String, S0Simple> = q
-            .params
-            .iter()
-            .enumerate()
-            .filter_map(|(i, pm)| match &row[i] {
-                CVal::Known(k) => Some((pm.clone(), S0Simple::Const(k.clone()))),
-                _ => None,
-            })
-            .collect();
-        if map.is_empty() {
+    for (q, row) in p.procs.iter_mut().zip(&facts.params) {
+        if !row.iter().any(|v| matches!(v, CVal::Known(_))) {
             continue;
         }
-        for pm in map.keys() {
-            replaced += count_uses(&q.body, pm);
-        }
-        q.body = q.body.subst(&map);
+        q.body.vars(&mut |v| {
+            replaced += usize::from(matches!(row.get(v as usize), Some(CVal::Known(_))));
+        });
+        let args: Vec<S0Simple> = row
+            .iter()
+            .enumerate()
+            .map(|(i, v)| match v {
+                CVal::Known(k) => S0Simple::Const(k.clone()),
+                _ => S0Simple::Var(i as u32),
+            })
+            .collect();
+        q.body = q.body.subst(&args);
     }
     Ok((p, replaced))
 }
@@ -188,12 +139,12 @@ pub fn propagate(p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, usize), Tr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::s0::S0Proc;
+    use crate::s0::{ProcId, S0Proc, S0Tail};
     use pe_frontend::Prim;
     use pe_governor::Limits;
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
+    fn var(slot: u32) -> S0Simple {
+        S0Simple::Var(slot)
     }
 
     fn kint(n: i64) -> S0Simple {
@@ -204,28 +155,24 @@ mod tests {
         Fuel::new(&Limits::default())
     }
 
+    fn proc_(name: &str, params: &[&str], body: S0Tail) -> S0Proc {
+        S0Proc { name: name.into(), params: params.iter().map(|&v| v.into()).collect(), body }
+    }
+
+    fn call(callee: u32, args: Vec<S0Simple>) -> S0Tail {
+        S0Tail::TailCall(ProcId(callee), args)
+    }
+
     #[test]
     fn constants_chain_through_copies() {
         // main passes 5 to f; f copies its param on to g; g's body uses
         // a known constant after two hops.
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["x".into()],
-                    body: S0Tail::TailCall("f".into(), vec![kint(5), var("x")]),
-                },
-                S0Proc {
-                    name: "f".into(),
-                    params: vec!["a".into(), "b".into()],
-                    body: S0Tail::TailCall("g".into(), vec![var("a"), var("b")]),
-                },
-                S0Proc {
-                    name: "g".into(),
-                    params: vec!["c".into(), "d".into()],
-                    body: S0Tail::Return(S0Simple::Prim(Prim::Add, vec![var("c"), var("d")])),
-                },
+                proc_("main", &["x"], call(1, vec![kint(5), var(0)])),
+                proc_("f", &["a", "b"], call(2, vec![var(0), var(1)])),
+                proc_("g", &["c", "d"], S0Tail::Return(S0Simple::Prim(Prim::Add, vec![var(0), var(1)]))),
             ],
         };
         let (q, n) = propagate(p, &mut fuel()).unwrap();
@@ -235,7 +182,7 @@ mod tests {
         match &g.body {
             S0Tail::Return(S0Simple::Prim(Prim::Add, args)) => {
                 assert_eq!(args[0], kint(5));
-                assert_eq!(args[1], var("d"), "d stays dynamic");
+                assert_eq!(args[1], var(1), "d stays dynamic");
             }
             other => panic!("unexpected body {other:?}"),
         }
@@ -244,22 +191,18 @@ mod tests {
     #[test]
     fn disagreeing_sites_stay_dynamic() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["x".into()],
-                    body: S0Tail::If(
-                        var("x"),
-                        Box::new(S0Tail::TailCall("f".into(), vec![kint(1)])),
-                        Box::new(S0Tail::TailCall("f".into(), vec![kint(2)])),
+                proc_(
+                    "main",
+                    &["x"],
+                    S0Tail::If(
+                        var(0),
+                        Box::new(call(1, vec![kint(1)])),
+                        Box::new(call(1, vec![kint(2)])),
                     ),
-                },
-                S0Proc {
-                    name: "f".into(),
-                    params: vec!["a".into()],
-                    body: S0Tail::Return(var("a")),
-                },
+                ),
+                proc_("f", &["a"], S0Tail::Return(var(0))),
             ],
         };
         let (q, n) = propagate(p.clone(), &mut fuel()).unwrap();
@@ -271,18 +214,10 @@ mod tests {
     fn uncalled_procs_are_left_alone() {
         // junk's parameter is Bottom; nothing must be substituted.
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec![],
-                    body: S0Tail::Return(kint(1)),
-                },
-                S0Proc {
-                    name: "junk".into(),
-                    params: vec!["a".into()],
-                    body: S0Tail::Return(var("a")),
-                },
+                proc_("main", &[], S0Tail::Return(kint(1))),
+                proc_("junk", &["a"], S0Tail::Return(var(0))),
             ],
         };
         let (q, n) = propagate(p.clone(), &mut fuel()).unwrap();

@@ -8,7 +8,7 @@
 //! this crate provides the framework plus the analyses the rest of the
 //! pipeline builds on:
 //!
-//! * [`cfg`] — explicit per-procedure control-flow graphs;
+//! * [`cfg`](mod@cfg) — explicit per-procedure control-flow graphs;
 //! * [`solver`] — a generic worklist fixpoint solver, governed by the
 //!   same [`pe_governor`] fuel discipline as the rest of the pipeline;
 //! * [`liveness`] — per-point liveness and the interprocedural
@@ -19,7 +19,7 @@
 //! * [`opt`] — the residual optimizer in two stages: Unmix-style
 //!   syntactic post-processing ([`postprocess`]) and the flow passes
 //!   ([`optimize`]);
-//! * [`check`] — flow-based verification lints (definite binding,
+//! * [`check`](mod@check) — flow-based verification lints (definite binding,
 //!   dispatch-arm reachability, dead closure slots).
 //!
 //! The crate sits *below* pe-core: the specializer post-processes and

@@ -25,9 +25,9 @@
 //! are always in tail position, so substitution never captures and never
 //! changes evaluation order.
 
-use crate::s0::{S0Proc, S0Program, S0Simple, S0Tail};
+use crate::s0::{ProcId, S0Proc, S0Program, S0Simple, S0Tail};
 use pe_governor::{Fuel, Limits, Trap};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 /// Runs all syntactic post passes to a fixpoint.
 pub fn postprocess(mut p: S0Program) -> S0Program {
@@ -106,21 +106,19 @@ pub fn optimize(mut p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, FlowSta
 /// Inlines procedures whose whole body is a `Return` of a simple
 /// expression (return compression), under the duplication guard.
 fn compress_returns(mut p: S0Program) -> S0Program {
-    let returners: HashMap<String, (Vec<String>, S0Tail)> = p
+    // Each procedure's body when it is a `Return`.
+    let returners: Vec<Option<S0Tail>> = p
         .procs
         .iter()
-        .filter(|q| matches!(q.body, S0Tail::Return(_)))
-        .map(|q| (q.name.clone(), (q.params.clone(), q.body.clone())))
+        .map(|q| matches!(q.body, S0Tail::Return(_)).then(|| q.body.clone()))
         .collect();
-    if returners.is_empty() {
+    if returners.iter().all(Option::is_none) {
         return p;
     }
     for q in &mut p.procs {
-        q.body = rewrite_calls(&q.body, &mut |callee, args| match returners.get(callee) {
-            Some((params, body)) if !duplicates(params, args, body) => {
-                body.subst(&bind(params, args))
-            }
-            _ => S0Tail::TailCall(callee.to_string(), args.to_vec()),
+        q.body = rewrite_calls(&q.body, &mut |callee, args| match returners.get(callee.index()) {
+            Some(Some(body)) if !duplicates(args, body) => body.subst(args),
+            _ => S0Tail::TailCall(callee, args.to_vec()),
         });
     }
     drop_unreachable(p)
@@ -130,37 +128,32 @@ fn compress_returns(mut p: S0Program) -> S0Program {
 /// parameters, in order, to one other procedure — delete the wrapper and
 /// give the target the entry's public name.
 fn merge_entry(mut p: S0Program) -> S0Program {
-    let Some(entry) = p.proc(&p.entry) else { return p };
+    let e = p.entry;
+    let Some(entry) = p.procs.get(e.index()) else { return p };
     let S0Tail::TailCall(target, args) = &entry.body else {
         return p;
     };
-    let target = target.clone();
-    if target == p.entry {
+    let target = *target;
+    if target == e || target.index() >= p.procs.len() {
         return p;
     }
     let forwards_params = args.len() == entry.params.len()
-        && entry
-            .params
-            .iter()
-            .zip(args)
-            .all(|(pm, a)| matches!(a, S0Simple::Var(v) if v == pm));
+        && args.iter().enumerate().all(|(i, a)| *a == S0Simple::Var(i as u32));
     if !forwards_params {
         return p;
     }
-    // The target must have the same arity (it does: the call above).
-    let entry_name = p.entry.clone();
-    p.procs.retain(|q| q.name != entry_name);
+    // The target has the same arity (the call above), so calls to the
+    // entry may go to the target instead.
+    p.procs[target.index()].name = std::mem::take(&mut p.procs[e.index()].name);
     for q in &mut p.procs {
-        if q.name == target {
-            q.name = entry_name.clone();
-        }
-        q.body = rewrite_calls(&q.body, &mut |callee, args| {
-            let callee =
-                if callee == target { entry_name.clone() } else { callee.to_string() };
-            S0Tail::TailCall(callee, args.to_vec())
+        calls_mut(&mut q.body, &mut |callee| {
+            if *callee == e {
+                *callee = target;
+            }
         });
     }
-    p
+    let procs = p.procs.into_iter().enumerate().map(|(i, q)| (i != e.index()).then_some(q));
+    compact(procs.collect(), target)
 }
 
 /// Peephole simplification on simple expressions:
@@ -251,7 +244,7 @@ fn simplify(mut p: S0Program) -> S0Program {
                 S0Tail::If(c, Box::new(a), Box::new(b))
             }
             S0Tail::TailCall(p, args) => {
-                S0Tail::TailCall(p.clone(), args.iter().map(go_simple).collect())
+                S0Tail::TailCall(*p, args.iter().map(go_simple).collect())
             }
             S0Tail::Fail(_) => t.clone(),
         }
@@ -266,53 +259,79 @@ fn fingerprint(p: &S0Program) -> (usize, usize) {
     (p.procs.len(), p.size())
 }
 
+/// Removes the `None` procedures and renumbers every call and the entry
+/// to the survivors' new positions: the one place procedure ids are
+/// renumbered.  A call to a removed procedure (which no pass leaves
+/// behind) ends up out of range, and an id that was already out of
+/// range stays so.
+fn compact(procs: Vec<Option<S0Proc>>, entry: ProcId) -> S0Program {
+    if procs.iter().all(Option::is_some) {
+        return S0Program { procs: procs.into_iter().flatten().collect(), entry };
+    }
+    let mut next = 0;
+    let remap: Vec<ProcId> = procs
+        .iter()
+        .map(|q| match q {
+            Some(_) => {
+                next += 1;
+                ProcId(next - 1)
+            }
+            None => ProcId(u32::MAX),
+        })
+        .collect();
+    let renumber = |id: &mut ProcId| *id = remap.get(id.index()).copied().unwrap_or(*id);
+    let mut procs: Vec<S0Proc> = procs.into_iter().flatten().collect();
+    for q in &mut procs {
+        calls_mut(&mut q.body, &mut |id| renumber(id));
+    }
+    let mut entry = entry;
+    renumber(&mut entry);
+    S0Program { procs, entry }
+}
+
 /// Drops procedures unreachable from the entry.
 fn drop_unreachable(p: S0Program) -> S0Program {
-    let mut reach: HashSet<String> = HashSet::new();
-    let mut work = vec![p.entry.clone()];
-    while let Some(name) = work.pop() {
-        if !reach.insert(name.clone()) {
-            continue;
-        }
-        if let Some(proc_) = p.proc(&name) {
-            proc_.body.calls(&mut |callee| work.push(callee.to_string()));
+    let mut reach = vec![false; p.procs.len()];
+    let mut work = vec![p.entry];
+    while let Some(f) = work.pop() {
+        let Some(seen) = reach.get_mut(f.index()) else { continue };
+        if !std::mem::replace(seen, true) {
+            p.procs[f.index()].body.calls(&mut |callee, _| work.push(callee));
         }
     }
-    S0Program {
-        procs: p.procs.into_iter().filter(|q| reach.contains(&q.name)).collect(),
-        entry: p.entry,
-    }
+    let procs = p.procs.into_iter().zip(reach).map(|(q, r)| r.then_some(q));
+    compact(procs.collect(), p.entry)
 }
 
 /// Inlines procedures whose whole body is a single tail call.
 fn compress_transitions(mut p: S0Program) -> S0Program {
-    // name → (params, body) for trivial trampolines, skipping self-loops.
-    let trivial: HashMap<String, (Vec<String>, S0Tail)> = p
+    // Each trivial trampoline's body, skipping self-loops.
+    let trivial: Vec<Option<S0Tail>> = p
         .procs
         .iter()
-        .filter(|q| matches!(&q.body, S0Tail::TailCall(t, _) if *t != q.name))
-        .map(|q| (q.name.clone(), (q.params.clone(), q.body.clone())))
+        .enumerate()
+        .map(|(i, q)| {
+            matches!(&q.body, S0Tail::TailCall(t, _) if t.index() != i).then(|| q.body.clone())
+        })
         .collect();
-    if trivial.is_empty() {
+    if trivial.iter().all(Option::is_none) {
         return p;
     }
     for q in &mut p.procs {
-        q.body = rewrite_calls(&q.body, &mut |callee, args| {
-            let mut callee = callee.to_string();
+        q.body = rewrite_calls(&q.body, &mut |mut callee, args| {
             let mut args = args.to_vec();
             // Chase the trampoline chain, stopping before it re-enters a
             // trampoline it already passed (a mutual trampoline cycle).
-            let mut seen: HashSet<&str> = HashSet::new();
-            while let Some((name, (params, body @ S0Tail::TailCall(target, targs)))) =
-                trivial.get_key_value(callee.as_str())
+            let mut seen: HashSet<ProcId> = HashSet::new();
+            while let Some(Some(body @ S0Tail::TailCall(target, targs))) =
+                trivial.get(callee.index())
             {
-                seen.insert(name);
-                if seen.contains(target.as_str()) || duplicates(params, &args, body) {
+                seen.insert(callee);
+                if seen.contains(target) || duplicates(&args, body) {
                     break;
                 }
-                let map = bind(params, &args);
-                args = targs.iter().map(|a| a.subst(&map)).collect();
-                callee.clone_from(target);
+                args = targs.iter().map(|a| a.subst(&args)).collect();
+                callee = *target;
             }
             S0Tail::TailCall(callee, args)
         });
@@ -331,22 +350,19 @@ fn compress_transitions(mut p: S0Program) -> S0Program {
 /// only those procedures are re-checked.  Public so that tests outside
 /// the crate can hold it against a reference.
 pub fn inline_once(p: S0Program) -> S0Program {
-    let mut ix = CallIndex::new(p.procs, &p.entry);
+    let mut ix = CallIndex::new(p.procs, p.entry);
     while let Some(v) = ix.ready.pop_first() {
         ix.inline(v);
     }
-    S0Program { procs: ix.procs.into_iter().flatten().collect(), entry: p.entry }
+    compact(ix.procs, p.entry)
 }
 
-/// Who calls whom, for [`inline_once`]; positions are indices into the
-/// program's procedure list.
+/// Who calls whom, for [`inline_once`]; positions are [`ProcId`]s.
 struct CallIndex {
     /// The procedures in program order; `None` once inlined away.
     procs: Vec<Option<S0Proc>>,
-    /// Position of each procedure name.
-    pos: HashMap<String, usize>,
     /// Position of the entry, which is never inlined.
-    entry: Option<usize>,
+    entry: usize,
     /// Call sites per procedure.
     count: Vec<usize>,
     /// The calling procedure and the arguments of each procedure's
@@ -359,16 +375,15 @@ struct CallIndex {
 }
 
 impl CallIndex {
-    fn new(procs: Vec<S0Proc>, entry: &str) -> CallIndex {
+    fn new(procs: Vec<S0Proc>, entry: ProcId) -> CallIndex {
         let n = procs.len();
-        let pos: HashMap<String, usize> =
-            procs.iter().enumerate().map(|(i, q)| (q.name.clone(), i)).collect();
         let mut count = vec![0; n];
         let mut site = vec![None; n];
         let mut recursive = vec![false; n];
         for (i, q) in procs.iter().enumerate() {
-            visit_calls(&q.body, &mut |callee, args| {
-                if let Some(&j) = pos.get(callee) {
+            q.body.calls(&mut |callee, args| {
+                let j = callee.index();
+                if j < n {
                     count[j] += 1;
                     site[j].get_or_insert_with(|| (i, args.to_vec()));
                     recursive[j] |= i == j;
@@ -377,8 +392,7 @@ impl CallIndex {
         }
         let mut ix = CallIndex {
             procs: procs.into_iter().map(Some).collect(),
-            entry: pos.get(entry).copied(),
-            pos,
+            entry: entry.index(),
             count,
             site,
             recursive,
@@ -396,10 +410,10 @@ impl CallIndex {
     fn recheck(&mut self, i: usize) {
         let ok = match (&self.procs[i], &self.site[i]) {
             (Some(q), Some((_, args))) => {
-                Some(i) != self.entry
+                i != self.entry
                     && self.count[i] == 1
                     && !self.recursive[i]
-                    && !duplicates(&q.params, args, &q.body)
+                    && !duplicates(args, &q.body)
             }
             _ => false,
         };
@@ -414,11 +428,12 @@ impl CallIndex {
     fn inline(&mut self, v: usize) {
         let victim = self.procs[v].take().expect("ready procedures are present");
         let (c, args) = self.site[v].take().expect("ready procedures have a call site");
-        let body = victim.body.subst(&bind(&victim.params, &args));
+        let body = victim.body.subst(&args);
         // The victim's calls now sit in the caller, with new arguments.
         let mut moved = vec![c];
-        visit_calls(&body, &mut |callee, args| {
-            if let Some(&j) = self.pos.get(callee) {
+        body.calls(&mut |callee, args| {
+            let j = callee.index();
+            if j < self.count.len() {
                 self.recursive[c] |= j == c;
                 if self.count[j] == 1 {
                     self.site[j] = Some((c, args.to_vec()));
@@ -427,7 +442,7 @@ impl CallIndex {
             }
         });
         let caller = self.procs[c].as_mut().expect("a call site's caller is present");
-        *call_site(&mut caller.body, &victim.name).expect("the caller holds the call") = body;
+        *call_site(&mut caller.body, ProcId(v as u32)).expect("the caller holds the call") = body;
         for i in moved {
             self.recheck(i);
         }
@@ -452,9 +467,9 @@ pub(crate) fn is_effect_free(s: &S0Simple) -> bool {
     }
 }
 
-fn occurrences(s: &S0Simple, v: &str) -> usize {
+fn occurrences(s: &S0Simple, v: u32) -> usize {
     match s {
-        S0Simple::Var(x) => usize::from(x == v),
+        S0Simple::Var(x) => usize::from(*x == v),
         S0Simple::Const(_) => 0,
         S0Simple::Prim(_, args) | S0Simple::MakeClosure(_, args) => {
             args.iter().map(|a| occurrences(a, v)).sum()
@@ -463,7 +478,7 @@ fn occurrences(s: &S0Simple, v: &str) -> usize {
     }
 }
 
-fn occurrences_tail(t: &S0Tail, v: &str) -> usize {
+fn occurrences_tail(t: &S0Tail, v: u32) -> usize {
     match t {
         S0Tail::Return(s) => occurrences(s, v),
         S0Tail::If(c, a, b) => {
@@ -474,21 +489,17 @@ fn occurrences_tail(t: &S0Tail, v: &str) -> usize {
     }
 }
 
-/// Whether inlining `body` with `params` bound to `args` would
+/// Whether inlining `body` with its slots bound to `args` would
 /// duplicate work: some non-trivial argument (anything but a variable
-/// or a constant) would replace a parameter that `body` reads more than
+/// or a constant) would replace a slot that `body` reads more than
 /// once on one path.  The guard of every inlining pass.
-fn duplicates(params: &[String], args: &[S0Simple], body: &S0Tail) -> bool {
-    params.iter().zip(args).any(|(pm, a)| {
-        !matches!(a, S0Simple::Var(_) | S0Simple::Const(_)) && occurrences_tail(body, pm) > 1
+fn duplicates(args: &[S0Simple], body: &S0Tail) -> bool {
+    args.iter().enumerate().any(|(i, a)| {
+        !matches!(a, S0Simple::Var(_) | S0Simple::Const(_)) && occurrences_tail(body, i as u32) > 1
     })
 }
 
-fn bind(params: &[String], args: &[S0Simple]) -> HashMap<String, S0Simple> {
-    params.iter().cloned().zip(args.iter().cloned()).collect()
-}
-
-fn rewrite_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple]) -> S0Tail) -> S0Tail {
+fn rewrite_calls(t: &S0Tail, f: &mut impl FnMut(ProcId, &[S0Simple]) -> S0Tail) -> S0Tail {
     match t {
         S0Tail::Return(_) | S0Tail::Fail(_) => t.clone(),
         S0Tail::If(c, a, b) => S0Tail::If(
@@ -496,25 +507,25 @@ fn rewrite_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple]) -> S0Tail) ->
             Box::new(rewrite_calls(a, f)),
             Box::new(rewrite_calls(b, f)),
         ),
-        S0Tail::TailCall(p, args) => f(p, args),
+        S0Tail::TailCall(p, args) => f(*p, args),
     }
 }
 
-fn visit_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple])) {
+/// Calls `f` on every call target in `t`, which it may change.
+fn calls_mut(t: &mut S0Tail, f: &mut impl FnMut(&mut ProcId)) {
     match t {
         S0Tail::Return(_) | S0Tail::Fail(_) => {}
         S0Tail::If(_, a, b) => {
-            visit_calls(a, f);
-            visit_calls(b, f);
+            calls_mut(a, f);
+            calls_mut(b, f);
         }
-        S0Tail::TailCall(p, args) => f(p, args),
+        S0Tail::TailCall(p, _) => f(p),
     }
 }
 
-
 /// The tail call to `callee` in `t`.
-fn call_site<'a>(t: &'a mut S0Tail, callee: &str) -> Option<&'a mut S0Tail> {
-    if matches!(t, S0Tail::TailCall(p, _) if p == callee) {
+fn call_site(t: &mut S0Tail, callee: ProcId) -> Option<&mut S0Tail> {
+    if matches!(t, S0Tail::TailCall(p, _) if *p == callee) {
         return Some(t);
     }
     match t {
@@ -527,12 +538,11 @@ fn call_site<'a>(t: &'a mut S0Tail, callee: &str) -> Option<&'a mut S0Tail> {
 mod tests {
     use super::*;
     use crate::check::{check, FlowSeverity};
-    use crate::s0::S0Proc;
     use pe_frontend::ast::Constant;
     use pe_frontend::Prim;
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
+    fn var(slot: u32) -> S0Simple {
+        S0Simple::Var(slot)
     }
 
     fn kint(n: i64) -> S0Simple {
@@ -552,12 +562,24 @@ mod tests {
         S0Proc { name: name.into(), params: params.iter().map(|&v| v.into()).collect(), body }
     }
 
-    fn call(callee: &str, args: Vec<S0Simple>) -> S0Tail {
-        S0Tail::TailCall(callee.into(), args)
+    /// A program whose entry is its first procedure.
+    fn program(procs: Vec<S0Proc>) -> S0Program {
+        S0Program { entry: ProcId(0), procs }
+    }
+
+    fn call(callee: u32, args: Vec<S0Simple>) -> S0Tail {
+        S0Tail::TailCall(ProcId(callee), args)
     }
 
     fn prim(op: Prim, args: Vec<S0Simple>) -> S0Simple {
         S0Simple::Prim(op, args)
+    }
+
+    /// The names of the procedures `q` calls, in program order.
+    fn callees(p: &S0Program, q: &S0Proc) -> Vec<String> {
+        let mut out = Vec::new();
+        q.body.calls(&mut |c, _| out.push(p.procs[c.index()].name.clone()));
+        out
     }
 
     /// The flow verifier must report no errors on the program.
@@ -570,49 +592,86 @@ mod tests {
 
     #[test]
     fn unreachable_procs_are_dropped() {
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc { name: "main".into(), params: vec![], body: S0Tail::Return(kint(1)) },
-                S0Proc { name: "junk".into(), params: vec![], body: S0Tail::Return(kint(2)) },
-            ],
-        };
+        let p = program(vec![
+            proc_("main", &[], S0Tail::Return(kint(1))),
+            proc_("junk", &[], S0Tail::Return(kint(2))),
+        ]);
         let p = drop_unreachable(p);
         assert_eq!(p.procs.len(), 1);
         assert_eq!(p.procs[0].name, "main");
     }
 
     #[test]
-    fn transition_chains_are_compressed() {
-        // main → a → b, both trampolines; main should call c directly.
+    fn compaction_renumbers_calls_past_a_dropped_middle_procedure() {
+        // junk sits between loop and the entry; dropping it moves main
+        // from position 2 to 1, and every call must follow.
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(2),
             procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["x".into()],
-                    body: S0Tail::TailCall("a".into(), vec![var("x")]),
-                },
-                S0Proc {
-                    name: "a".into(),
-                    params: vec!["y".into()],
-                    body: S0Tail::TailCall(
-                        "b".into(),
-                        vec![S0Simple::Prim(Prim::Cons, vec![var("y"), kint(1)])],
+                proc_(
+                    "loop",
+                    &["n"],
+                    S0Tail::If(
+                        prim(Prim::ZeroP, vec![var(0)]),
+                        Box::new(S0Tail::Return(kint(0))),
+                        Box::new(call(2, vec![prim(Prim::Sub1, vec![var(0)])])),
                     ),
-                },
-                S0Proc {
-                    name: "b".into(),
-                    params: vec!["z".into()],
-                    body: S0Tail::TailCall("c".into(), vec![var("z"), var("z")]),
-                },
-                S0Proc {
-                    name: "c".into(),
-                    params: vec!["u".into(), "v".into()],
-                    body: S0Tail::Return(var("u")),
-                },
+                ),
+                proc_("junk", &[], call(0, vec![kint(1)])),
+                proc_("main", &["x"], call(0, vec![var(0)])),
             ],
         };
+        let want: String = p
+            .to_source()
+            .lines()
+            .filter(|l| !l.starts_with("(define (junk"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let q = drop_unreachable(p);
+        assert_eq!(q.to_source(), want);
+        assert_eq!(q.procs[q.entry.index()].name, "main");
+        assert_eq!(callees(&q, &q.procs[0]), ["main"]);
+        assert_eq!(callees(&q, &q.procs[1]), ["loop"]);
+    }
+
+    #[test]
+    fn merge_entry_drops_the_entry_and_redirects_its_callers() {
+        // main forwards to loop; other calls main back.  After the merge
+        // loop carries the entry's name, and other's call reaches it.
+        let p = program(vec![
+            proc_("main", &["x", "y"], call(2, vec![var(0), var(1)])),
+            proc_("other", &["a"], call(0, vec![var(0), var(0)])),
+            proc_(
+                "loop",
+                &["n", "acc"],
+                S0Tail::If(
+                    prim(Prim::ZeroP, vec![var(0)]),
+                    Box::new(S0Tail::Return(var(1))),
+                    Box::new(call(1, vec![var(0)])),
+                ),
+            ),
+        ]);
+        let q = merge_entry(p);
+        assert_eq!(
+            q.to_source(),
+            "(define (other a) (main a a))\n(define (main n acc) (if (zero? n) acc (other n)))\n"
+        );
+        assert_eq!(q.entry, ProcId(1));
+        assert_eq!(q.procs[1].name, "main");
+        assert_eq!(callees(&q, &q.procs[0]), ["main"]);
+        assert_eq!(callees(&q, &q.procs[1]), ["other"]);
+        assert_wellformed(&q);
+    }
+
+    #[test]
+    fn transition_chains_are_compressed() {
+        // main → a → b, both trampolines; main should call c directly.
+        let p = program(vec![
+            proc_("main", &["x"], call(1, vec![var(0)])),
+            proc_("a", &["y"], call(2, vec![prim(Prim::Cons, vec![var(0), kint(1)])])),
+            proc_("b", &["z"], call(3, vec![var(0), var(0)])),
+            proc_("c", &["u", "v"], S0Tail::Return(var(0))),
+        ]);
         let p = compress_transitions(p);
         let main = p.proc("main").unwrap();
         // The chase inlines a (and substitutes its cons into b's arg),
@@ -620,41 +679,24 @@ mod tests {
         // into c's two argument slots.
         match &main.body {
             S0Tail::TailCall(t, args) => {
-                assert_eq!(t, "b");
+                assert_eq!(p.procs[t.index()].name, "b");
                 assert_eq!(args.len(), 1);
             }
             other => panic!("expected direct call to b, got {other:?}"),
         }
         assert!(p.proc("a").is_none(), "trampoline a removed");
         assert!(p.proc("b").is_some(), "duplicating trampoline b kept");
+        assert_wellformed(&p);
     }
 
     #[test]
     fn transition_compression_never_duplicates_work() {
         // x → dup with a computed argument used twice: must not chase.
-        let p = S0Program {
-            entry: "x".into(),
-            procs: vec![
-                S0Proc {
-                    name: "x".into(),
-                    params: vec!["v".into()],
-                    body: S0Tail::TailCall(
-                        "dup".into(),
-                        vec![S0Simple::Prim(Prim::Cons, vec![var("v"), kint(1)])],
-                    ),
-                },
-                S0Proc {
-                    name: "dup".into(),
-                    params: vec!["w".into()],
-                    body: S0Tail::TailCall("use2".into(), vec![var("w"), var("w")]),
-                },
-                S0Proc {
-                    name: "use2".into(),
-                    params: vec!["a".into(), "b".into()],
-                    body: S0Tail::Return(S0Simple::Prim(Prim::Cons, vec![var("a"), var("b")])),
-                },
-            ],
-        };
+        let p = program(vec![
+            proc_("x", &["v"], call(1, vec![prim(Prim::Cons, vec![var(0), kint(1)])])),
+            proc_("dup", &["w"], call(2, vec![var(0), var(0)])),
+            proc_("use2", &["a", "b"], S0Tail::Return(prim(Prim::Cons, vec![var(0), var(1)]))),
+        ]);
         let before = p.size();
         let q = postprocess(p);
         assert_wellformed(&q);
@@ -666,14 +708,11 @@ mod tests {
     fn transition_cycles_never_grow_the_program() {
         // a → b → a, each wrapping its argument in a cons: the chase must
         // stop where the cycle closes instead of going round it.
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                proc_("main", &["x"], call("a", vec![var("x")])),
-                proc_("a", &["y"], call("b", vec![prim(Prim::Cons, vec![var("y"), kint(1)])])),
-                proc_("b", &["z"], call("a", vec![prim(Prim::Cons, vec![var("z"), kint(2)])])),
-            ],
-        };
+        let p = program(vec![
+            proc_("main", &["x"], call(1, vec![var(0)])),
+            proc_("a", &["y"], call(2, vec![prim(Prim::Cons, vec![var(0), kint(1)])])),
+            proc_("b", &["z"], call(1, vec![prim(Prim::Cons, vec![var(0), kint(2)])])),
+        ]);
         let before = p.size();
         let q = compress_transitions(p);
         assert!(q.size() <= before, "grew: {before} -> {}\n{q}", q.size());
@@ -684,36 +723,31 @@ mod tests {
     fn inline_once_sees_a_mutual_pair_turn_self_recursive() {
         // f and g call each other once.  f goes first (lower position);
         // inlining it makes g call itself, so g must then stay.
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                proc_("main", &["x"], S0Tail::Return(var("x"))),
-                proc_(
-                    "f",
-                    &["a"],
-                    S0Tail::If(
-                        prim(Prim::NullP, vec![var("a")]),
-                        Box::new(S0Tail::Return(kint(1))),
-                        Box::new(call("g", vec![var("a")])),
-                    ),
+        let p = program(vec![
+            proc_("main", &["x"], S0Tail::Return(var(0))),
+            proc_(
+                "f",
+                &["a"],
+                S0Tail::If(
+                    prim(Prim::NullP, vec![var(0)]),
+                    Box::new(S0Tail::Return(kint(1))),
+                    Box::new(call(2, vec![var(0)])),
                 ),
-                proc_(
-                    "g",
-                    &["b"],
-                    S0Tail::If(
-                        prim(Prim::PairP, vec![var("b")]),
-                        Box::new(call("f", vec![var("b")])),
-                        Box::new(S0Tail::Return(kint(2))),
-                    ),
+            ),
+            proc_(
+                "g",
+                &["b"],
+                S0Tail::If(
+                    prim(Prim::PairP, vec![var(0)]),
+                    Box::new(call(1, vec![var(0)])),
+                    Box::new(S0Tail::Return(kint(2))),
                 ),
-            ],
-        };
+            ),
+        ]);
         let q = inline_once(p);
         let names: Vec<&str> = q.procs.iter().map(|q| q.name.as_str()).collect();
         assert_eq!(names, ["main", "g"], "{q}");
-        let mut calls = Vec::new();
-        q.procs[1].body.calls(&mut |c| calls.push(c.to_string()));
-        assert_eq!(calls, ["g"], "{q}");
+        assert_eq!(callees(&q, &q.procs[1]), ["g"], "{q}");
     }
 
     #[test]
@@ -721,21 +755,14 @@ mod tests {
         // c is inlined first (lower position); v's argument then turns
         // from the variable y into (car x), and v reads its parameter
         // twice, so v must stay.  Inlining v first would keep c instead.
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                proc_("main", &["x"], call("c", vec![prim(Prim::Car, vec![var("x")])])),
-                proc_("c", &["y"], call("v", vec![var("y")])),
-                proc_("v", &["z"], S0Tail::Return(prim(Prim::Cons, vec![var("z"), var("z")]))),
-            ],
-        };
+        let p = program(vec![
+            proc_("main", &["x"], call(1, vec![prim(Prim::Car, vec![var(0)])])),
+            proc_("c", &["y"], call(2, vec![var(0)])),
+            proc_("v", &["z"], S0Tail::Return(prim(Prim::Cons, vec![var(0), var(0)]))),
+        ]);
         let q = inline_once(p);
         assert_eq!(q.procs.len(), 2, "{q}");
-        assert_eq!(
-            q.procs[0].body,
-            call("v", vec![prim(Prim::Car, vec![var("x")])]),
-            "{q}"
-        );
+        assert_eq!(q.procs[0].body, call(1, vec![prim(Prim::Car, vec![var(0)])]), "{q}");
         assert_eq!(q.procs[1].name, "v");
     }
 
@@ -743,135 +770,78 @@ mod tests {
     fn inline_once_merges_chains() {
         // The paper's append-$1 scenario: a chain of once-called procs
         // collapses into the entry.
-        let p = S0Program {
-            entry: "append-$1".into(),
-            procs: vec![
-                S0Proc {
-                    name: "append-$1".into(),
-                    params: vec!["y".into()],
-                    body: S0Tail::TailCall("sl-eval-$1".into(), vec![var("y")]),
-                },
-                S0Proc {
-                    name: "sl-eval-$1".into(),
-                    params: vec!["cv-vals-$1".into()],
-                    body: S0Tail::Return(S0Simple::Prim(
-                        Prim::Cons,
-                        vec![S0Simple::Const(Constant::Sym("foo".into())), var("cv-vals-$1")],
-                    )),
-                },
-            ],
-        };
+        let p = program(vec![
+            proc_("append-$1", &["y"], call(1, vec![var(0)])),
+            proc_(
+                "sl-eval-$1",
+                &["cv-vals-$1"],
+                S0Tail::Return(prim(
+                    Prim::Cons,
+                    vec![S0Simple::Const(Constant::Sym("foo".into())), var(0)],
+                )),
+            ),
+        ]);
         let p = postprocess(p);
         assert_eq!(p.procs.len(), 1);
         match &p.procs[0].body {
             S0Tail::Return(S0Simple::Prim(Prim::Cons, args)) => {
-                assert_eq!(args[1], var("y"));
+                assert_eq!(args[1], var(0));
             }
             other => panic!("expected inlined cons, got {other:?}"),
         }
+        assert_eq!(p.to_source(), "(define (append-$1 y) (cons (quote foo) y))\n");
     }
 
     #[test]
     fn recursive_procs_are_not_inlined() {
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["n".into()],
-                    body: S0Tail::TailCall("loop".into(), vec![var("n")]),
-                },
-                S0Proc {
-                    name: "loop".into(),
-                    params: vec!["n".into()],
-                    body: S0Tail::If(
-                        S0Simple::Prim(Prim::ZeroP, vec![var("n")]),
-                        Box::new(S0Tail::Return(kint(0))),
-                        Box::new(S0Tail::TailCall(
-                            "loop".into(),
-                            vec![S0Simple::Prim(Prim::Sub, vec![var("n"), kint(1)])],
-                        )),
-                    ),
-                },
-            ],
-        };
+        let p = program(vec![
+            proc_("main", &["n"], call(1, vec![var(0)])),
+            proc_(
+                "loop",
+                &["n"],
+                S0Tail::If(
+                    prim(Prim::ZeroP, vec![var(0)]),
+                    Box::new(S0Tail::Return(kint(0))),
+                    Box::new(call(1, vec![prim(Prim::Sub, vec![var(0), kint(1)])])),
+                ),
+            ),
+        ]);
         let q = postprocess(p.clone());
         // merge_entry renames the loop to the public entry name; the
         // self-recursive loop itself must survive under either name.
         let survivor = q.proc("loop").or_else(|| q.proc("main")).expect("loop survives");
-        let mut recursive = false;
-        survivor.body.calls(&mut |c| recursive |= c == survivor.name);
-        assert!(recursive, "{q}");
+        assert_eq!(callees(&q, survivor), std::slice::from_ref(&survivor.name), "{q}");
         assert_wellformed(&q);
     }
 
     #[test]
     fn dead_params_are_dropped_when_safe() {
-        let p2 = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["x".into()],
-                    body: S0Tail::TailCall("f".into(), vec![kint(1), var("x")]),
-                },
-                S0Proc {
-                    name: "f".into(),
-                    params: vec!["dead".into(), "live".into()],
-                    body: S0Tail::Return(var("live")),
-                },
-            ],
-        };
+        let p2 = program(vec![
+            proc_("main", &["x"], call(1, vec![kint(1), var(0)])),
+            proc_("f", &["dead", "live"], S0Tail::Return(var(1))),
+        ]);
         let q = prune(p2);
         let f = q.proc("f").unwrap();
         assert_eq!(f.params, vec!["live".to_string()]);
+        assert_eq!(f.body, S0Tail::Return(var(0)), "the live slot moved down");
         assert_wellformed(&q);
 
         // The unsafe case: argument can fault, parameter must stay.
-        let p3 = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["x".into()],
-                    body: S0Tail::TailCall(
-                        "f".into(),
-                        vec![S0Simple::Prim(Prim::Car, vec![var("x")]), var("x")],
-                    ),
-                },
-                S0Proc {
-                    name: "f".into(),
-                    params: vec!["dead".into(), "live".into()],
-                    body: S0Tail::Return(var("live")),
-                },
-            ],
-        };
+        let p3 = program(vec![
+            proc_("main", &["x"], call(1, vec![prim(Prim::Car, vec![var(0)]), var(0)])),
+            proc_("f", &["dead", "live"], S0Tail::Return(var(1))),
+        ]);
         let q = prune(p3);
         assert_eq!(q.proc("f").unwrap().params.len(), 2, "faulting arg must stay");
     }
 
     #[test]
     fn postprocess_preserves_wellformedness() {
-        let p = S0Program {
-            entry: "e".into(),
-            procs: vec![
-                S0Proc {
-                    name: "e".into(),
-                    params: vec!["a".into()],
-                    body: S0Tail::TailCall("t1".into(), vec![var("a")]),
-                },
-                S0Proc {
-                    name: "t1".into(),
-                    params: vec!["b".into()],
-                    body: S0Tail::TailCall("t2".into(), vec![var("b"), kint(9)]),
-                },
-                S0Proc {
-                    name: "t2".into(),
-                    params: vec!["c".into(), "d".into()],
-                    body: S0Tail::Return(S0Simple::Prim(Prim::Cons, vec![var("c"), var("d")])),
-                },
-            ],
-        };
+        let p = program(vec![
+            proc_("e", &["a"], call(1, vec![var(0)])),
+            proc_("t1", &["b"], call(2, vec![var(0), kint(9)])),
+            proc_("t2", &["c", "d"], S0Tail::Return(prim(Prim::Cons, vec![var(0), var(1)]))),
+        ]);
         let q = postprocess(p);
         assert_wellformed(&q);
         assert_eq!(q.procs.len(), 1, "everything inlined into the entry");
@@ -882,31 +852,18 @@ mod tests {
     /// clean-up pass folds the exposed constants.
     #[test]
     fn optimize_combines_propagation_and_dead_params() {
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["n".into()],
-                    body: S0Tail::TailCall("loop".into(), vec![var("n"), kint(7)]),
-                },
-                S0Proc {
-                    name: "loop".into(),
-                    params: vec!["n".into(), "x".into()],
-                    body: S0Tail::If(
-                        S0Simple::Prim(Prim::ZeroP, vec![var("n")]),
-                        Box::new(S0Tail::Return(var("x"))),
-                        Box::new(S0Tail::TailCall(
-                            "loop".into(),
-                            vec![
-                                S0Simple::Prim(Prim::Sub, vec![var("n"), kint(1)]),
-                                var("x"),
-                            ],
-                        )),
-                    ),
-                },
-            ],
-        };
+        let p = program(vec![
+            proc_("main", &["n"], call(1, vec![var(0), kint(7)])),
+            proc_(
+                "loop",
+                &["n", "x"],
+                S0Tail::If(
+                    prim(Prim::ZeroP, vec![var(0)]),
+                    Box::new(S0Tail::Return(var(1))),
+                    Box::new(call(1, vec![prim(Prim::Sub, vec![var(0), kint(1)]), var(1)])),
+                ),
+            ),
+        ]);
         let (q, stats) = optimize(p, &mut fuel()).unwrap();
         assert_eq!(stats.copies_propagated, 2, "{stats:?}");
         assert_eq!(stats.dead_bindings, 1, "{stats:?}");
@@ -917,14 +874,7 @@ mod tests {
 
     #[test]
     fn optimize_respects_fuel() {
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![S0Proc {
-                name: "main".into(),
-                params: vec![],
-                body: S0Tail::Return(kint(1)),
-            }],
-        };
+        let p = program(vec![proc_("main", &[], S0Tail::Return(kint(1)))]);
         let mut tiny = Fuel::new(&Limits { fuel: 1, ..Limits::default() });
         assert!(matches!(optimize(p, &mut tiny), Err(Trap::OutOfFuel { .. })));
     }

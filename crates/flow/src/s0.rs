@@ -14,6 +14,13 @@
 //! `closure-label` and `closure-freeval`; back ends pick the flat-vector
 //! representation.
 //!
+//! Names are resolved once, when the specializer emits a program: a call
+//! names its target by [`ProcId`], a position in [`S0Program::procs`]
+//! (the paper's §5.1 labels), and a variable by its slot in the
+//! enclosing procedure's parameter list (the global parameter
+//! variables).  The spelled names stay on each [`S0Proc`] for printing
+//! and diagnostics only.
+//!
 //! The definitions live in `pe-flow` (below `pe-core`) so the dataflow
 //! analyses can see them without a dependency cycle; `pe_core::s0`
 //! re-exports everything, so downstream code is unaffected.
@@ -21,14 +28,26 @@
 use pe_frontend::ast::{Constant, Prim};
 use pe_sexpr::Sexpr;
 use pe_trace::{Phase, Sink};
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
 use std::fmt;
+
+/// A procedure's position in [`S0Program::procs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ProcId(pub u32);
+
+impl ProcId {
+    /// The position as an index.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// A simple expression: evaluates to a value without any calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum S0Simple {
-    /// Variable reference.
-    Var(String),
+    /// Variable reference: a slot in the enclosing procedure's `params`.
+    Var(u32),
     /// Constant.
     Const(Constant),
     /// Primitive application.
@@ -48,8 +67,8 @@ pub enum S0Tail {
     Return(S0Simple),
     /// Conditional with simple condition.
     If(S0Simple, Box<S0Tail>, Box<S0Tail>),
-    /// Tail call of another procedure.
-    TailCall(String, Vec<S0Simple>),
+    /// Tail call of another procedure of the same program.
+    TailCall(ProcId, Vec<S0Simple>),
     /// A runtime failure discovered during specialization (e.g. applying
     /// a non-procedure on a path the program may never take).
     Fail(String),
@@ -58,9 +77,10 @@ pub enum S0Tail {
 /// A first-order procedure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct S0Proc {
-    /// Procedure name.
+    /// Procedure name, read only to print and report.
     pub name: String,
-    /// Parameter names.
+    /// Parameter names, read only to print and report; a variable is
+    /// its slot in this list.
     pub params: Vec<String>,
     /// Body in tail form.
     pub body: S0Tail,
@@ -69,10 +89,32 @@ pub struct S0Proc {
 /// A whole S₀ program with a designated entry procedure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct S0Program {
-    /// All procedures; the entry comes first by convention.
+    /// All procedures; a [`ProcId`] is a position in this list.
     pub procs: Vec<S0Proc>,
-    /// Name of the entry procedure.
-    pub entry: String,
+    /// The entry procedure (not necessarily the first: merging an entry
+    /// trampoline keeps its target where it was).
+    pub entry: ProcId,
+}
+
+/// The printed name of procedure `id` in `procs`: its own name, or a
+/// placeholder no well-formed program contains when `id` is out of
+/// range.
+#[must_use]
+pub fn proc_name(procs: &[S0Proc], id: ProcId) -> Cow<'_, str> {
+    match procs.get(id.index()) {
+        Some(q) => Cow::Borrowed(&q.name),
+        None => Cow::Owned(format!("%proc-{}", id.0)),
+    }
+}
+
+/// The printed name of variable slot `v` of a procedure with parameters
+/// `params`, with the same placeholder rule as [`proc_name`].
+#[must_use]
+pub fn var_name(params: &[String], v: u32) -> Cow<'_, str> {
+    match params.get(v as usize) {
+        Some(n) => Cow::Borrowed(n),
+        None => Cow::Owned(format!("%slot-{v}")),
+    }
 }
 
 impl S0Simple {
@@ -88,42 +130,42 @@ impl S0Simple {
         }
     }
 
-    /// Collects free variable names.
-    pub fn vars(&self, out: &mut HashSet<String>) {
+    /// Calls `f` on every variable read, left to right.
+    pub fn vars(&self, f: &mut impl FnMut(u32)) {
         match self {
-            S0Simple::Var(v) => {
-                out.insert(v.clone());
-            }
+            S0Simple::Var(v) => f(*v),
             S0Simple::Const(_) => {}
             S0Simple::Prim(_, args) | S0Simple::MakeClosure(_, args) => {
-                args.iter().for_each(|a| a.vars(out));
+                args.iter().for_each(|a| a.vars(f));
             }
-            S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => a.vars(out),
+            S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => a.vars(f),
         }
     }
 
-    /// Substitutes variables by expressions (capture is impossible in S₀:
-    /// there are no binders inside expressions).
-    pub fn subst(&self, map: &HashMap<String, S0Simple>) -> S0Simple {
+    /// Replaces each variable by the argument in its slot (capture is
+    /// impossible in S₀: there are no binders inside expressions).  A
+    /// slot past the end of `args` is left as it is.
+    #[must_use]
+    pub fn subst(&self, args: &[S0Simple]) -> S0Simple {
         match self {
-            S0Simple::Var(v) => map.get(v).cloned().unwrap_or_else(|| self.clone()),
+            S0Simple::Var(v) => args.get(*v as usize).unwrap_or(self).clone(),
             S0Simple::Const(_) => self.clone(),
-            S0Simple::Prim(op, args) => {
-                S0Simple::Prim(*op, args.iter().map(|a| a.subst(map)).collect())
+            S0Simple::Prim(op, xs) => {
+                S0Simple::Prim(*op, xs.iter().map(|a| a.subst(args)).collect())
             }
-            S0Simple::MakeClosure(l, args) => {
-                S0Simple::MakeClosure(*l, args.iter().map(|a| a.subst(map)).collect())
+            S0Simple::MakeClosure(l, xs) => {
+                S0Simple::MakeClosure(*l, xs.iter().map(|a| a.subst(args)).collect())
             }
-            S0Simple::ClosureLabel(a) => S0Simple::ClosureLabel(Box::new(a.subst(map))),
+            S0Simple::ClosureLabel(a) => S0Simple::ClosureLabel(Box::new(a.subst(args))),
             S0Simple::ClosureFreeval(a, i) => {
-                S0Simple::ClosureFreeval(Box::new(a.subst(map)), *i)
+                S0Simple::ClosureFreeval(Box::new(a.subst(args)), *i)
             }
         }
     }
 
-    fn to_sexpr(&self) -> Sexpr {
+    fn to_sexpr(&self, params: &[String]) -> Sexpr {
         match self {
-            S0Simple::Var(v) => Sexpr::sym_of(v),
+            S0Simple::Var(v) => Sexpr::sym_of(&var_name(params, *v)),
             S0Simple::Const(k) => match k {
                 Constant::Int(n) => Sexpr::Int(*n),
                 Constant::Bool(b) => Sexpr::Bool(*b),
@@ -133,20 +175,20 @@ impl S0Simple {
             },
             S0Simple::Prim(op, args) => {
                 let mut xs = vec![Sexpr::sym_of(op.name())];
-                xs.extend(args.iter().map(S0Simple::to_sexpr));
+                xs.extend(args.iter().map(|a| a.to_sexpr(params)));
                 Sexpr::List(xs)
             }
             S0Simple::MakeClosure(l, args) => {
                 let mut xs = vec![Sexpr::sym_of("make-closure"), Sexpr::Int(i64::from(*l))];
-                xs.extend(args.iter().map(S0Simple::to_sexpr));
+                xs.extend(args.iter().map(|a| a.to_sexpr(params)));
                 Sexpr::List(xs)
             }
             S0Simple::ClosureLabel(a) => {
-                Sexpr::list_of([Sexpr::sym_of("closure-label"), a.to_sexpr()])
+                Sexpr::list_of([Sexpr::sym_of("closure-label"), a.to_sexpr(params)])
             }
             S0Simple::ClosureFreeval(a, i) => Sexpr::list_of([
                 Sexpr::sym_of("closure-freeval"),
-                a.to_sexpr(),
+                a.to_sexpr(params),
                 Sexpr::Int(*i as i64),
             ]),
         }
@@ -164,58 +206,60 @@ impl S0Tail {
         }
     }
 
-    /// Calls `f` on every tail call's procedure name.
-    pub fn calls(&self, f: &mut impl FnMut(&str)) {
+    /// Calls `f` on every tail call's target and arguments, in program
+    /// order.
+    pub fn calls<'a>(&'a self, f: &mut impl FnMut(ProcId, &'a [S0Simple])) {
         match self {
             S0Tail::Return(_) | S0Tail::Fail(_) => {}
             S0Tail::If(_, t, e) => {
                 t.calls(f);
                 e.calls(f);
             }
-            S0Tail::TailCall(p, _) => f(p),
+            S0Tail::TailCall(p, args) => f(*p, args),
         }
     }
 
-    /// Collects free variable names.
-    pub fn vars(&self, out: &mut HashSet<String>) {
+    /// Calls `f` on every variable read, in program order.
+    pub fn vars(&self, f: &mut impl FnMut(u32)) {
         match self {
-            S0Tail::Return(s) => s.vars(out),
+            S0Tail::Return(s) => s.vars(f),
             S0Tail::If(c, t, e) => {
-                c.vars(out);
-                t.vars(out);
-                e.vars(out);
+                c.vars(f);
+                t.vars(f);
+                e.vars(f);
             }
-            S0Tail::TailCall(_, args) => args.iter().for_each(|a| a.vars(out)),
+            S0Tail::TailCall(_, args) => args.iter().for_each(|a| a.vars(f)),
             S0Tail::Fail(_) => {}
         }
     }
 
-    /// Substitutes variables by simple expressions throughout.
-    pub fn subst(&self, map: &HashMap<String, S0Simple>) -> S0Tail {
+    /// Replaces each variable by the argument in its slot throughout.
+    #[must_use]
+    pub fn subst(&self, args: &[S0Simple]) -> S0Tail {
         match self {
-            S0Tail::Return(s) => S0Tail::Return(s.subst(map)),
+            S0Tail::Return(s) => S0Tail::Return(s.subst(args)),
             S0Tail::If(c, t, e) => {
-                S0Tail::If(c.subst(map), Box::new(t.subst(map)), Box::new(e.subst(map)))
+                S0Tail::If(c.subst(args), Box::new(t.subst(args)), Box::new(e.subst(args)))
             }
-            S0Tail::TailCall(p, args) => {
-                S0Tail::TailCall(p.clone(), args.iter().map(|a| a.subst(map)).collect())
+            S0Tail::TailCall(p, xs) => {
+                S0Tail::TailCall(*p, xs.iter().map(|a| a.subst(args)).collect())
             }
             S0Tail::Fail(m) => S0Tail::Fail(m.clone()),
         }
     }
 
-    fn to_sexpr(&self) -> Sexpr {
+    fn to_sexpr(&self, params: &[String], procs: &[S0Proc]) -> Sexpr {
         match self {
-            S0Tail::Return(s) => s.to_sexpr(),
+            S0Tail::Return(s) => s.to_sexpr(params),
             S0Tail::If(c, t, e) => Sexpr::list_of([
                 Sexpr::sym_of("if"),
-                c.to_sexpr(),
-                t.to_sexpr(),
-                e.to_sexpr(),
+                c.to_sexpr(params),
+                t.to_sexpr(params, procs),
+                e.to_sexpr(params, procs),
             ]),
             S0Tail::TailCall(p, args) => {
-                let mut xs = vec![Sexpr::sym_of(p)];
-                xs.extend(args.iter().map(S0Simple::to_sexpr));
+                let mut xs = vec![Sexpr::sym_of(&proc_name(procs, *p))];
+                xs.extend(args.iter().map(|a| a.to_sexpr(params)));
                 Sexpr::List(xs)
             }
             S0Tail::Fail(m) => {
@@ -226,11 +270,17 @@ impl S0Tail {
 }
 
 impl S0Proc {
-    /// Renders as a `(define …)` form.
-    pub fn to_sexpr(&self) -> Sexpr {
+    /// Renders as a `(define …)` form; call targets are named from
+    /// `procs`, the procedures of the enclosing program.
+    #[must_use]
+    pub fn to_sexpr(&self, procs: &[S0Proc]) -> Sexpr {
         let mut head = vec![Sexpr::sym_of(&self.name)];
         head.extend(self.params.iter().map(|p| Sexpr::sym_of(p)));
-        Sexpr::list_of([Sexpr::sym_of("define"), Sexpr::List(head), self.body.to_sexpr()])
+        Sexpr::list_of([
+            Sexpr::sym_of("define"),
+            Sexpr::List(head),
+            self.body.to_sexpr(&self.params, procs),
+        ])
     }
 
     /// Counts AST nodes.
@@ -240,7 +290,9 @@ impl S0Proc {
 }
 
 impl S0Program {
-    /// Finds a procedure by name.
+    /// The first procedure called `name` (a lookup for tests and tools;
+    /// passes index by [`ProcId`]).
+    #[must_use]
     pub fn proc(&self, name: &str) -> Option<&S0Proc> {
         self.procs.iter().find(|p| p.name == name)
     }
@@ -266,7 +318,7 @@ impl S0Program {
     pub fn to_source(&self) -> String {
         let mut out = String::new();
         for p in &self.procs {
-            out.push_str(&pe_sexpr::pretty(&p.to_sexpr()));
+            out.push_str(&pe_sexpr::pretty(&p.to_sexpr(&self.procs)));
             out.push('\n');
         }
         out
@@ -283,45 +335,56 @@ impl fmt::Display for S0Program {
 mod tests {
     use super::*;
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.to_string())
-    }
-
     #[test]
     fn print_shape_matches_paper_style() {
         let p = S0Proc {
             name: "sl-eval-$3".into(),
             params: vec!["cv-vals-$1".into(), "cv-vals-$2".into()],
             body: S0Tail::If(
-                S0Simple::Prim(Prim::NullP, vec![var("cv-vals-$1")]),
-                Box::new(S0Tail::Return(var("cv-vals-$2"))),
+                S0Simple::Prim(Prim::NullP, vec![S0Simple::Var(0)]),
+                Box::new(S0Tail::Return(S0Simple::Var(1))),
                 Box::new(S0Tail::TailCall(
-                    "sl-eval-$3".into(),
+                    ProcId(0),
                     vec![
-                        S0Simple::Prim(Prim::Cdr, vec![var("cv-vals-$1")]),
-                        S0Simple::MakeClosure(24, vec![var("cv-vals-$2")]),
+                        S0Simple::Prim(Prim::Cdr, vec![S0Simple::Var(0)]),
+                        S0Simple::MakeClosure(24, vec![S0Simple::Var(1)]),
                     ],
                 )),
             ),
         };
-        let s = p.to_sexpr().to_string();
+        let s = p.to_sexpr(std::slice::from_ref(&p)).to_string();
         assert!(s.contains("(make-closure 24 cv-vals-$2)"), "{s}");
         assert!(s.starts_with("(define (sl-eval-$3 cv-vals-$1 cv-vals-$2)"), "{s}");
+        assert!(s.contains("(sl-eval-$3 (cdr cv-vals-$1)"), "{s}");
+    }
+
+    #[test]
+    fn out_of_range_ids_print_as_placeholders() {
+        let p = S0Program {
+            entry: ProcId(0),
+            procs: vec![S0Proc {
+                name: "main".into(),
+                params: vec!["x".into()],
+                body: S0Tail::TailCall(ProcId(3), vec![S0Simple::Var(0), S0Simple::Var(2)]),
+            }],
+        };
+        assert_eq!(p.to_source(), "(define (main x) (%proc-3 x %slot-2))\n");
     }
 
     #[test]
     fn subst_replaces_free_vars() {
-        let t = S0Tail::TailCall("f".into(), vec![var("x"), S0Simple::Prim(Prim::Car, vec![var("y")])]);
-        let mut m = HashMap::new();
-        m.insert("x".to_string(), S0Simple::Const(Constant::Int(1)));
-        let t2 = t.subst(&m);
+        let t = S0Tail::TailCall(
+            ProcId(0),
+            vec![S0Simple::Var(0), S0Simple::Prim(Prim::Car, vec![S0Simple::Var(1)])],
+        );
+        let t2 = t.subst(&[S0Simple::Const(Constant::Int(1)), S0Simple::Var(0)]);
         assert_eq!(
             t2,
             S0Tail::TailCall(
-                "f".into(),
+                ProcId(0),
                 vec![
                     S0Simple::Const(Constant::Int(1)),
-                    S0Simple::Prim(Prim::Car, vec![var("y")])
+                    S0Simple::Prim(Prim::Car, vec![S0Simple::Var(0)])
                 ]
             )
         );
@@ -329,7 +392,7 @@ mod tests {
 
     #[test]
     fn sizes_are_positive_and_additive() {
-        let s = S0Simple::Prim(Prim::Cons, vec![var("a"), var("b")]);
+        let s = S0Simple::Prim(Prim::Cons, vec![S0Simple::Var(0), S0Simple::Var(1)]);
         assert_eq!(s.size(), 3);
         let t = S0Tail::Return(s);
         assert_eq!(t.size(), 3);

@@ -28,7 +28,7 @@
 //! fault once the subject is known to be a closure).
 
 use crate::opt::is_effect_free;
-use crate::s0::{S0Program, S0Simple, S0Tail};
+use crate::s0::{ProcId, S0Proc, S0Program, S0Simple, S0Tail};
 use pe_frontend::ast::Constant;
 use pe_frontend::Prim;
 use pe_governor::{Fuel, Trap};
@@ -86,15 +86,14 @@ pub fn parse_dispatch(c: &S0Simple) -> Option<(&S0Simple, u32)> {
     pick(&args[0], &args[1]).or_else(|| pick(&args[1], &args[0]))
 }
 
-type Env<'a> = HashMap<&'a str, AbsVal>;
 type Refinements = Vec<(S0Simple, AbsVal)>;
 
-fn eval(e: &S0Simple, env: &Env<'_>, refines: &Refinements) -> AbsVal {
+fn eval(e: &S0Simple, env: &[AbsVal], refines: &Refinements) -> AbsVal {
     if let Some((_, v)) = refines.iter().rev().find(|(s, _)| s == e) {
         return v.clone();
     }
     match e {
-        S0Simple::Var(v) => env.get(v.as_str()).cloned().unwrap_or_else(AbsVal::unknown),
+        S0Simple::Var(v) => env.get(*v as usize).cloned().unwrap_or_else(AbsVal::unknown),
         S0Simple::Const(_) | S0Simple::ClosureLabel(_) => AbsVal::bottom(),
         S0Simple::Prim(_, _) | S0Simple::ClosureFreeval(_, _) => AbsVal::unknown(),
         S0Simple::MakeClosure(l, _) => AbsVal::of_label(*l),
@@ -105,7 +104,7 @@ fn eval(e: &S0Simple, env: &Env<'_>, refines: &Refinements) -> AbsVal {
 /// node (tails before their children).
 fn walk_refined<'p>(
     t: &'p S0Tail,
-    env: &Env<'_>,
+    env: &[AbsVal],
     refines: &mut Refinements,
     f: &mut impl FnMut(&'p S0Tail, &Refinements),
 ) {
@@ -129,8 +128,8 @@ fn walk_refined<'p>(
 /// Everything the pruning rewrite and the flow lints need to know.
 #[derive(Debug, Clone)]
 pub struct SlotAnalysis {
-    /// Abstract parameter values per procedure.
-    pub shapes: HashMap<String, Vec<AbsVal>>,
+    /// Abstract parameter values per procedure, indexed by [`ProcId`].
+    pub shapes: Vec<Vec<AbsVal>>,
     /// Capture arity per label (consistent across sites, else pinned).
     pub arity: BTreeMap<u32, usize>,
     /// Slots read (possibly) per label, across all definite sites.
@@ -176,36 +175,28 @@ impl Classes {
 ///
 /// [`Trap::OutOfFuel`] when the budget is exhausted before convergence.
 pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
-    let mut shapes: HashMap<String, Vec<AbsVal>> = p
-        .procs
-        .iter()
-        .map(|q| (q.name.clone(), vec![AbsVal::bottom(); q.params.len()]))
-        .collect();
-    if let Some(e) = shapes.get_mut(&p.entry) {
+    let mut shapes: Vec<Vec<AbsVal>> =
+        p.procs.iter().map(|q| vec![AbsVal::bottom(); q.params.len()]).collect();
+    if let Some(e) = shapes.get_mut(p.entry.index()) {
         e.iter_mut().for_each(|v| *v = AbsVal::unknown());
     }
     // Fixpoint on parameter shapes.
     loop {
         fuel.step()?;
         let mut changed = false;
-        for q in &p.procs {
+        for (f, q) in p.procs.iter().enumerate() {
             fuel.step()?;
-            let env: Env<'_> = q
-                .params
-                .iter()
-                .enumerate()
-                .map(|(i, pm)| (pm.as_str(), shapes[&q.name][i].clone()))
-                .collect();
-            let mut flows: Vec<(String, usize, AbsVal)> = Vec::new();
+            let env = shapes[f].clone();
+            let mut flows: Vec<(ProcId, usize, AbsVal)> = Vec::new();
             walk_refined(&q.body, &env, &mut Vec::new(), &mut |t, refines| {
                 if let S0Tail::TailCall(callee, args) = t {
                     for (i, a) in args.iter().enumerate() {
-                        flows.push((callee.clone(), i, eval(a, &env, refines)));
+                        flows.push((*callee, i, eval(a, &env, refines)));
                     }
                 }
             });
             for (callee, i, v) in flows {
-                if let Some(slot) = shapes.get_mut(&callee).and_then(|r| r.get_mut(i)) {
+                if let Some(slot) = shapes.get_mut(callee.index()).and_then(|r| r.get_mut(i)) {
                     changed |= slot.join_from(&v);
                 }
             }
@@ -220,17 +211,11 @@ pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
     let mut used: BTreeMap<u32, BTreeSet<usize>> = BTreeMap::new();
     let mut pinned: BTreeSet<u32> = BTreeSet::new();
     let mut classes = Classes::new();
-    for q in &p.procs {
+    for (q, env) in p.procs.iter().zip(&shapes) {
         fuel.step()?;
-        let env: Env<'_> = q
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, pm)| (pm.as_str(), shapes[&q.name][i].clone()))
-            .collect();
-        walk_refined(&q.body, &env, &mut Vec::new(), &mut |t, refines| {
+        walk_refined(&q.body, env, &mut Vec::new(), &mut |t, refines| {
             let mut scan = Scan {
-                env: &env,
+                env,
                 refines,
                 sites: &mut sites,
                 used: &mut used,
@@ -306,8 +291,8 @@ pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
 }
 
 /// The escape/usage scanner for one simple expression.
-struct Scan<'a, 'b> {
-    env: &'a Env<'b>,
+struct Scan<'a> {
+    env: &'a [AbsVal],
     refines: &'a Refinements,
     sites: &'a mut BTreeMap<u32, Vec<Vec<S0Simple>>>,
     used: &'a mut BTreeMap<u32, BTreeSet<usize>>,
@@ -315,7 +300,7 @@ struct Scan<'a, 'b> {
     classes: &'a mut Classes,
 }
 
-impl Scan<'_, '_> {
+impl Scan<'_> {
     fn pin_val(&mut self, v: &AbsVal) {
         self.pinned.extend(v.labels.iter().copied());
     }
@@ -379,25 +364,15 @@ pub fn prune(p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, usize), Trap> 
     }
     let count: usize = sa.prune.values().map(Vec::len).sum();
     let mut procs = Vec::with_capacity(p.procs.len());
-    for q in &p.procs {
+    for (q, env) in p.procs.iter().zip(&sa.shapes) {
         fuel.step()?;
-        let env: Env<'_> = q
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, pm)| (pm.as_str(), sa.shapes[&q.name][i].clone()))
-            .collect();
-        let body = rw_tail(&q.body, &env, &mut Vec::new(), &sa);
-        procs.push(crate::s0::S0Proc {
-            name: q.name.clone(),
-            params: q.params.clone(),
-            body,
-        });
+        let body = rw_tail(&q.body, env, &mut Vec::new(), &sa);
+        procs.push(S0Proc { name: q.name.clone(), params: q.params.clone(), body });
     }
     Ok((S0Program { procs, entry: p.entry }, count))
 }
 
-fn rw_simple(e: &S0Simple, env: &Env<'_>, refines: &Refinements, sa: &SlotAnalysis) -> S0Simple {
+fn rw_simple(e: &S0Simple, env: &[AbsVal], refines: &Refinements, sa: &SlotAnalysis) -> S0Simple {
     match e {
         S0Simple::Var(_) | S0Simple::Const(_) => e.clone(),
         S0Simple::Prim(op, args) => {
@@ -436,12 +411,12 @@ fn rw_simple(e: &S0Simple, env: &Env<'_>, refines: &Refinements, sa: &SlotAnalys
     }
 }
 
-fn rw_tail(t: &S0Tail, env: &Env<'_>, refines: &mut Refinements, sa: &SlotAnalysis) -> S0Tail {
+fn rw_tail(t: &S0Tail, env: &[AbsVal], refines: &mut Refinements, sa: &SlotAnalysis) -> S0Tail {
     match t {
         S0Tail::Return(s) => S0Tail::Return(rw_simple(s, env, refines, sa)),
         S0Tail::Fail(m) => S0Tail::Fail(m.clone()),
         S0Tail::TailCall(callee, args) => S0Tail::TailCall(
-            callee.clone(),
+            *callee,
             args.iter().map(|a| rw_simple(a, env, refines, sa)).collect(),
         ),
         S0Tail::If(c, a, b) => {
@@ -470,7 +445,7 @@ fn rw_tail(t: &S0Tail, env: &Env<'_>, refines: &mut Refinements, sa: &SlotAnalys
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArmFinding {
     /// Procedure containing the dispatch.
-    pub proc: String,
+    pub proc: ProcId,
     /// The label tested against.
     pub label: u32,
     /// True when the test always succeeds (then-branch survives);
@@ -508,29 +483,20 @@ fn fold_arms_report(
     let sa = analyze(&p, fuel)?;
     let mut findings = Vec::new();
     let mut procs = Vec::with_capacity(p.procs.len());
-    for q in &p.procs {
+    for (f, (q, env)) in p.procs.iter().zip(&sa.shapes).enumerate() {
         fuel.step()?;
-        let env: Env<'_> = q
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, pm)| (pm.as_str(), sa.shapes[&q.name][i].clone()))
-            .collect();
-        let body = fold_tail(&q.body, &env, &mut Vec::new(), &q.name, &mut findings);
-        procs.push(crate::s0::S0Proc {
-            name: q.name.clone(),
-            params: q.params.clone(),
-            body,
-        });
+        let owner = ProcId(f as u32);
+        let body = fold_tail(&q.body, env, &mut Vec::new(), owner, &mut findings);
+        procs.push(S0Proc { name: q.name.clone(), params: q.params.clone(), body });
     }
     Ok((S0Program { procs, entry: p.entry }, findings))
 }
 
 fn fold_tail(
     t: &S0Tail,
-    env: &Env<'_>,
+    env: &[AbsVal],
     refines: &mut Refinements,
-    owner: &str,
+    owner: ProcId,
     findings: &mut Vec<ArmFinding>,
 ) -> S0Tail {
     match t {
@@ -543,7 +509,7 @@ fn fold_tail(
                     && !sv.labels.is_empty();
                 if definite && !sv.labels.contains(&k) {
                     findings.push(ArmFinding {
-                        proc: owner.to_string(),
+                        proc: owner,
                         label: k,
                         always: false,
                     });
@@ -554,7 +520,7 @@ fn fold_tail(
                 }
                 if definite && sv.labels.len() == 1 && sv.labels.contains(&k) {
                     findings.push(ArmFinding {
-                        proc: owner.to_string(),
+                        proc: owner,
                         label: k,
                         always: true,
                     });
@@ -585,11 +551,10 @@ fn fold_tail(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::s0::S0Proc;
-    use pe_governor::Limits;
+        use pe_governor::Limits;
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
+    fn var(slot: u32) -> S0Simple {
+        S0Simple::Var(slot)
     }
 
     fn kint(n: i64) -> S0Simple {
@@ -600,7 +565,7 @@ mod tests {
         Fuel::new(&Limits::default())
     }
 
-    fn dispatch(subj: &str, k: i64) -> S0Simple {
+    fn dispatch(subj: u32, k: i64) -> S0Simple {
         S0Simple::Prim(
             Prim::EqualP,
             vec![kint(k), S0Simple::ClosureLabel(Box::new(var(subj)))],
@@ -611,20 +576,20 @@ mod tests {
     /// only slot 1.  Slot 0 must be pruned and the index renumbered.
     fn program_with_dead_slot() -> S0Program {
         S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["a".into(), "b".into()],
                     body: S0Tail::TailCall(
-                        "k".into(),
-                        vec![S0Simple::MakeClosure(3, vec![var("a"), var("b")])],
+                        ProcId(1),
+                        vec![S0Simple::MakeClosure(3, vec![var(0), var(1)])],
                     ),
                 },
                 S0Proc {
                     name: "k".into(),
                     params: vec!["c".into()],
-                    body: S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var("c")), 1)),
+                    body: S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var(0)), 1)),
                 },
             ],
         }
@@ -637,7 +602,7 @@ mod tests {
         let main = q.proc("main").unwrap();
         match &main.body {
             S0Tail::TailCall(_, args) => match &args[0] {
-                S0Simple::MakeClosure(3, caps) => assert_eq!(caps, &vec![var("b")]),
+                S0Simple::MakeClosure(3, caps) => assert_eq!(caps, &vec![var(1)]),
                 other => panic!("expected shrunk closure, got {other:?}"),
             },
             other => panic!("unexpected body {other:?}"),
@@ -654,13 +619,13 @@ mod tests {
         // The closure is consed into a pair: it escapes, nothing is
         // pruned even though no slot is read.
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![S0Proc {
                 name: "main".into(),
                 params: vec!["a".into()],
                 body: S0Tail::Return(S0Simple::Prim(
                     Prim::Cons,
-                    vec![S0Simple::MakeClosure(7, vec![var("a")]), kint(0)],
+                    vec![S0Simple::MakeClosure(7, vec![var(0)]), kint(0)],
                 )),
             }],
         };
@@ -675,23 +640,23 @@ mod tests {
     fn non_effect_free_captures_stay() {
         // Slot 0 is dead but its argument (car a) can fault.
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["a".into()],
                     body: S0Tail::TailCall(
-                        "k".into(),
+                        ProcId(1),
                         vec![S0Simple::MakeClosure(
                             1,
-                            vec![S0Simple::Prim(Prim::Car, vec![var("a")]), var("a")],
+                            vec![S0Simple::Prim(Prim::Car, vec![var(0)]), var(0)],
                         )],
                     ),
                 },
                 S0Proc {
                     name: "k".into(),
                     params: vec!["c".into()],
-                    body: S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var("c")), 1)),
+                    body: S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var(0)), 1)),
                 },
             ],
         };
@@ -703,24 +668,24 @@ mod tests {
     #[test]
     fn impossible_dispatch_arm_folds_to_else() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["a".into()],
                     body: S0Tail::TailCall(
-                        "k".into(),
-                        vec![S0Simple::MakeClosure(2, vec![var("a")])],
+                        ProcId(1),
+                        vec![S0Simple::MakeClosure(2, vec![var(0)])],
                     ),
                 },
                 S0Proc {
                     name: "k".into(),
                     params: vec!["c".into()],
                     body: S0Tail::If(
-                        dispatch("c", 9),
+                        dispatch(0, 9),
                         Box::new(S0Tail::Fail("unreachable arm".into())),
                         Box::new(S0Tail::Return(S0Simple::ClosureFreeval(
-                            Box::new(var("c")),
+                            Box::new(var(0)),
                             0,
                         ))),
                     ),
@@ -740,23 +705,23 @@ mod tests {
     #[test]
     fn singleton_dispatch_folds_to_then() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["a".into()],
                     body: S0Tail::TailCall(
-                        "k".into(),
-                        vec![S0Simple::MakeClosure(2, vec![var("a")])],
+                        ProcId(1),
+                        vec![S0Simple::MakeClosure(2, vec![var(0)])],
                     ),
                 },
                 S0Proc {
                     name: "k".into(),
                     params: vec!["c".into()],
                     body: S0Tail::If(
-                        dispatch("c", 2),
+                        dispatch(0, 2),
                         Box::new(S0Tail::Return(S0Simple::ClosureFreeval(
-                            Box::new(var("c")),
+                            Box::new(var(0)),
                             0,
                         ))),
                         Box::new(S0Tail::Fail("no such label".into())),
@@ -776,20 +741,20 @@ mod tests {
         // both agree.  Label 1 uses slot 0, label 2 uses slot 1 — the
         // shared site reads both, so nothing is droppable.
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["a".into(), "t".into()],
                     body: S0Tail::If(
-                        var("t"),
+                        var(1),
                         Box::new(S0Tail::TailCall(
-                            "k".into(),
-                            vec![S0Simple::MakeClosure(1, vec![var("a"), kint(0)])],
+                            ProcId(1),
+                            vec![S0Simple::MakeClosure(1, vec![var(0), kint(0)])],
                         )),
                         Box::new(S0Tail::TailCall(
-                            "k".into(),
-                            vec![S0Simple::MakeClosure(2, vec![kint(0), var("a")])],
+                            ProcId(1),
+                            vec![S0Simple::MakeClosure(2, vec![kint(0), var(0)])],
                         )),
                     ),
                 },
@@ -797,13 +762,13 @@ mod tests {
                     name: "k".into(),
                     params: vec!["c".into()],
                     body: S0Tail::If(
-                        dispatch("c", 1),
+                        dispatch(0, 1),
                         Box::new(S0Tail::Return(S0Simple::ClosureFreeval(
-                            Box::new(var("c")),
+                            Box::new(var(0)),
                             0,
                         ))),
                         Box::new(S0Tail::Return(S0Simple::ClosureFreeval(
-                            Box::new(var("c")),
+                            Box::new(var(0)),
                             1,
                         ))),
                     ),

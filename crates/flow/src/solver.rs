@@ -150,35 +150,39 @@ mod tests {
     struct Live;
 
     impl Analysis for Live {
-        type Fact = BTreeSet<String>;
+        type Fact = BTreeSet<u32>;
 
         fn direction(&self) -> Direction {
             Direction::Backward
         }
 
-        fn boundary(&self) -> BTreeSet<String> {
+        fn boundary(&self) -> BTreeSet<u32> {
             BTreeSet::new()
         }
 
-        fn bottom(&self) -> BTreeSet<String> {
+        fn bottom(&self) -> BTreeSet<u32> {
             BTreeSet::new()
         }
 
-        fn join(&self, into: &mut BTreeSet<String>, from: &BTreeSet<String>) -> bool {
+        fn join(&self, into: &mut BTreeSet<u32>, from: &BTreeSet<u32>) -> bool {
             let before = into.len();
-            into.extend(from.iter().cloned());
+            into.extend(from.iter().copied());
             into.len() != before
         }
 
-        fn transfer(&self, node: &Node, fact: &BTreeSet<String>) -> BTreeSet<String> {
+        fn transfer(&self, node: &Node, fact: &BTreeSet<u32>) -> BTreeSet<u32> {
             let mut out = fact.clone();
-            let mut used = std::collections::HashSet::new();
             match node {
                 Node::Entry | Node::Fail(_) => {}
-                Node::Branch(c) | Node::Return(c) => c.vars(&mut used),
-                Node::Call(_, args) => args.iter().for_each(|a| a.vars(&mut used)),
+                Node::Branch(c) | Node::Return(c) => c.vars(&mut |v| {
+                    out.insert(v);
+                }),
+                Node::Call(_, args) => args.iter().for_each(|a| {
+                    a.vars(&mut |v| {
+                        out.insert(v);
+                    });
+                }),
             }
-            out.extend(used);
             out
         }
     }
@@ -188,8 +192,8 @@ mod tests {
             name: "f".into(),
             params: vec!["a".into(), "b".into(), "c".into()],
             body: S0Tail::If(
-                S0Simple::Var("a".into()),
-                Box::new(S0Tail::Return(S0Simple::Var("b".into()))),
+                S0Simple::Var(0),
+                Box::new(S0Tail::Return(S0Simple::Var(1))),
                 Box::new(S0Tail::Fail("no".into())),
             ),
         }
@@ -209,8 +213,8 @@ mod tests {
         let mut fuel = Fuel::new(&Limits::default());
         let facts = solve(&cfg, &Live, &mut fuel).unwrap();
         let at_entry = &facts[Cfg::ENTRY];
-        assert!(at_entry.contains("a") && at_entry.contains("b"), "{at_entry:?}");
-        assert!(!at_entry.contains("c"), "c is dead: {at_entry:?}");
+        assert!(at_entry.contains(&0) && at_entry.contains(&1), "{at_entry:?}");
+        assert!(!at_entry.contains(&2), "c is dead: {at_entry:?}");
     }
 
     #[test]

@@ -1,28 +1,21 @@
-//! Symbol interning and fast hashing for the compiler suite's hot paths.
+//! Fast hashing for the compiler suite's hot paths.
 //!
 //! The §8 comparison between PE-compiled code and the baseline is only
 //! meaningful when neither engine pays accidental interpretation
-//! overheads — and the biggest such overhead in a name-based pipeline is
-//! repeated string hashing: every `HashMap<String, _>` lookup re-hashes
-//! the full name with the standard library's DoS-resistant SipHash.
-//! This crate provides the two tools that remove it:
-//!
-//! * [`SymbolTable`] — interning: each distinct name is hashed **once**
-//!   and mapped to a dense [`Symbol`] (`u32`); all later comparisons and
-//!   lookups are integer operations.  [`SymbolMap`] is the matching
-//!   dense `Symbol → T` map (a plain vector, no hashing at all).
-//! * [`FxHashMap`]/[`FxHashSet`] — for keys that are already structural
-//!   (memo keys, ids), the rustc/Firefox "Fx" multiply-xor hash, which
-//!   is several times faster than SipHash on short keys.  Nothing in
-//!   this pipeline hashes attacker-controlled keys into long-lived
-//!   tables (names come from the subject program the user chose to
-//!   compile, and every table dies with its compilation), so the
-//!   HashDoS resistance being traded away buys nothing here.
+//! overheads, such as re-hashing keys with the standard library's
+//! DoS-resistant SipHash on every lookup.  [`FxHashMap`]/[`FxHashSet`]
+//! use the rustc/Firefox "Fx" multiply-xor hash instead, which is
+//! several times faster than SipHash on short structural keys (memo
+//! keys, ids, the subject program's variable names).  Nothing in this
+//! pipeline hashes attacker-controlled keys into long-lived tables
+//! (names come from the subject program the user chose to compile, and
+//! every table dies with its compilation), so the HashDoS resistance
+//! being traded away buys nothing here.  Residual S₀ programs need no
+//! name tables at all: the specializer resolves their procedures and
+//! variables to positions once, when it emits them.
 
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 
 // ----------------------------------------------------------------------
 // Fx hashing
@@ -97,152 +90,12 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` using the Fx hash.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-// ----------------------------------------------------------------------
-// Symbols
-// ----------------------------------------------------------------------
-
-/// An interned name: a dense `u32` id handed out by a [`SymbolTable`].
-///
-/// Comparison, hashing and [`SymbolMap`] lookup are all integer
-/// operations; the spelling lives in the table that interned it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Symbol(u32);
-
-impl Symbol {
-    /// The dense index of this symbol (0-based interning order).
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Debug for Symbol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sym#{}", self.0)
-    }
-}
-
-/// An interning table: names in, dense [`Symbol`] ids out.
-///
-/// ```
-/// use pe_intern::SymbolTable;
-///
-/// let mut t = SymbolTable::new();
-/// let a = t.intern("append");
-/// let b = t.intern("cps-append");
-/// assert_eq!(t.intern("append"), a);
-/// assert_ne!(a, b);
-/// assert_eq!(t.resolve(a), "append");
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct SymbolTable {
-    names: Vec<Arc<str>>,
-    map: FxHashMap<Arc<str>, Symbol>,
-}
-
-impl SymbolTable {
-    /// An empty table.
-    #[must_use]
-    pub fn new() -> SymbolTable {
-        SymbolTable::default()
-    }
-
-    /// Interns `name`, hashing it at most once per distinct spelling.
-    pub fn intern(&mut self, name: &str) -> Symbol {
-        if let Some(&sym) = self.map.get(name) {
-            return sym;
-        }
-        let sym = Symbol(u32::try_from(self.names.len()).expect("fewer than 2^32 symbols"));
-        let shared: Arc<str> = name.into();
-        self.names.push(shared.clone());
-        self.map.insert(shared, sym);
-        sym
-    }
-
-    /// The symbol for `name`, if it has been interned.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<Symbol> {
-        self.map.get(name).copied()
-    }
-
-    /// The spelling of an interned symbol.
-    ///
-    /// # Panics
-    ///
-    /// If `sym` was not produced by this table.
-    #[must_use]
-    pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.names[sym.index()]
-    }
-
-    /// The number of distinct symbols interned.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True if nothing has been interned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
-
-/// A dense map from [`Symbol`] to `T`: lookup is a vector index — no
-/// hashing at all.  Built for the per-program tables whose key space is
-/// exactly one [`SymbolTable`]'s output.
-#[derive(Debug, Clone)]
-pub struct SymbolMap<T> {
-    slots: Vec<Option<T>>,
-}
-
-impl<T> Default for SymbolMap<T> {
-    fn default() -> Self {
-        SymbolMap { slots: Vec::new() }
-    }
-}
-
-impl<T> SymbolMap<T> {
-    /// An empty map.
-    #[must_use]
-    pub fn new() -> SymbolMap<T> {
-        SymbolMap::default()
-    }
-
-    /// An empty map with room for `n` symbols.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> SymbolMap<T> {
-        SymbolMap { slots: Vec::with_capacity(n) }
-    }
-
-    /// Inserts a value, returning the previous one if present.
-    pub fn insert(&mut self, sym: Symbol, value: T) -> Option<T> {
-        let i = sym.index();
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
-        }
-        self.slots[i].replace(value)
-    }
-
-    /// The value for `sym`, if any.
-    #[must_use]
-    pub fn get(&self, sym: Symbol) -> Option<&T> {
-        self.slots.get(sym.index()).and_then(Option::as_ref)
-    }
-
-    /// True if `sym` has a value.
-    #[must_use]
-    pub fn contains(&self, sym: Symbol) -> bool {
-        self.get(sym).is_some()
-    }
-}
-
 /// Compile-time proof that a type can cross threads.  The compile
 /// service executes independent requests on a worker pool, so every
-/// artifact that flows through it — the interner, the pipeline, residual
-/// programs, loaded VMs — must be `Send`.  Call sites are zero-cost:
-/// they exist only to make a regression (e.g. an `Rc` sneaking back into
-/// [`SymbolTable`]) a compile error rather than a runtime surprise.
+/// artifact that flows through it — the pipeline, residual programs,
+/// loaded VMs — must be `Send`.  Call sites are zero-cost: they exist
+/// only to make a regression (e.g. an `Rc` sneaking into a residual
+/// program) a compile error rather than a runtime surprise.
 pub fn assert_send<T: Send>() {}
 
 /// Compile-time proof that a type can be shared between threads — the
@@ -254,55 +107,6 @@ pub fn assert_sync<T: Sync>() {}
 mod tests {
     use super::*;
     use std::hash::BuildHasher;
-
-    #[test]
-    fn symbol_types_are_send() {
-        // `SymbolTable` stored `Rc<str>` until the compile service
-        // needed to move pipelines across worker threads; this pins the
-        // `Arc<str>` fix at compile time.
-        assert_send::<SymbolTable>();
-        assert_send::<SymbolMap<String>>();
-        assert_send::<Symbol>();
-    }
-
-    #[test]
-    fn interning_is_idempotent_and_dense() {
-        let mut t = SymbolTable::new();
-        let syms: Vec<Symbol> = ["car", "cdr", "cons", "car", "cdr"]
-            .iter()
-            .map(|n| t.intern(n))
-            .collect();
-        assert_eq!(syms[0], syms[3]);
-        assert_eq!(syms[1], syms[4]);
-        assert_eq!(t.len(), 3, "three distinct names");
-        assert_eq!(syms[0].index(), 0);
-        assert_eq!(syms[2].index(), 2);
-    }
-
-    #[test]
-    fn resolve_roundtrips() {
-        let mut t = SymbolTable::new();
-        for name in ["sl-eval-$1", "cv-vals-$2", "x", ""] {
-            let s = t.intern(name);
-            assert_eq!(t.resolve(s), name);
-            assert_eq!(t.get(name), Some(s));
-        }
-        assert_eq!(t.get("ghost"), None);
-    }
-
-    #[test]
-    fn symbol_map_is_a_dense_store() {
-        let mut t = SymbolTable::new();
-        let a = t.intern("a");
-        let b = t.intern("b");
-        let mut m: SymbolMap<usize> = SymbolMap::with_capacity(t.len());
-        assert_eq!(m.insert(b, 7), None);
-        assert_eq!(m.get(b), Some(&7));
-        assert_eq!(m.get(a), None);
-        assert!(!m.contains(a));
-        assert_eq!(m.insert(b, 9), Some(7));
-        assert_eq!(m.get(b), Some(&9));
-    }
 
     #[test]
     fn fx_hash_distinguishes_lengths_and_content() {

@@ -26,7 +26,7 @@ use std::hash::Hasher;
 /// that invalidates previously cached artifacts.  Part of every
 /// fingerprint, so a version bump cold-starts the world instead of
 /// serving stale residuals.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A 128-bit content address for one compilation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -87,8 +87,6 @@ fn half(seed: u64, canon: &str, entry: Option<&str>, opts: &CompileOptions) -> u
     h.write_u8(u8::from(opts.flow));
     h.write_u8(u8::from(opts.trick_flow));
     h.write_u8(u8::from(opts.sct));
-    h.write_u64(opts.max_desc_size as u64);
-    h.write_u64(opts.widen_threshold as u64);
     let l = &opts.limits;
     h.write_u64(l.fuel);
     h.write_u64(l.max_call_depth as u64);
@@ -169,8 +167,6 @@ mod tests {
             CompileOptions { flow: false, ..CompileOptions::default() },
             CompileOptions { trick_flow: false, ..CompileOptions::default() },
             CompileOptions { sct: false, ..CompileOptions::default() },
-            CompileOptions { widen_threshold: 3, ..CompileOptions::default() },
-            CompileOptions { max_desc_size: 99, ..CompileOptions::default() },
             CompileOptions {
                 limits: Limits { fuel: 1234, ..Limits::default() },
                 ..CompileOptions::default()

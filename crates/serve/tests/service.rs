@@ -23,17 +23,17 @@ fn suite_requests() -> Vec<CompileRequest> {
 
 #[test]
 fn golden_fingerprints_for_the_suite() {
-    // Computed once with FORMAT_VERSION = 1 and default options.  A
+    // Computed once with FORMAT_VERSION = 2 and default options.  A
     // mismatch means the fingerprint function changed behaviour: bump
     // `pe_serve::FORMAT_VERSION` and re-pin, or fix the regression.
     let golden = [
-        ("deriv", "72aa21dd2fc89eebf01a8e30739a35fc"),
-        ("tak", "659c34f9ccd89235115f391b7acbe780"),
-        ("cpstak", "a739ba75ade9279ce6f77e9808df26a5"),
-        ("takl", "cf6c89f5e9812e55cb13ca174f9928fa"),
-        ("fibclos", "324fb46ca34671803de0ba0682ab5402"),
-        ("cps-append", "8e506f8fdb233c24a8176d29867718f2"),
-        ("queens", "8fc2e80dc93ba4dbabe083dc618fea36"),
+        ("deriv", "465a286c3f86529f59d1ae2c88897558"),
+        ("tak", "d182dd55bd4a6e620589eb8e61a9fe14"),
+        ("cpstak", "424d1127cfca4554ce6abbc0aa37e266"),
+        ("takl", "d8d6c0715b150660e37c960c926b0100"),
+        ("fibclos", "d6abc1578927d8d9215e78b024b820dc"),
+        ("cps-append", "7320348ba1c7fb5481b8149d71c8e69e"),
+        ("queens", "ffb575501fc49dc617f1926a4c069f3b"),
     ];
     let opts = CompileOptions::default();
     assert_eq!(golden.len(), SUITE.len());

@@ -4,11 +4,10 @@
 //! programs, `pe_flow::opt::inline_once` must print byte-identically to
 //! the rescan algorithm it replaced, kept here as the reference.
 
-use pe_core::{CompileOptions, S0Program, S0Simple, S0Tail};
+use pe_core::{CompileOptions, ProcId, S0Proc, S0Program, S0Simple, S0Tail};
 use pe_siege::gen::gen_case;
 use pe_siege::rng::Rng;
 use realistic_pe::{Pipeline, SUITE};
-use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
 /// Generated programs in the batch.
@@ -16,62 +15,72 @@ const GENERATED: u64 = 300;
 
 /// The reference: every round recounts the calls, picks the first
 /// eligible procedure in program order, and rewrites every procedure.
-fn inline_once_rescan(mut p: S0Program) -> S0Program {
+/// Inlined procedures leave a hole until the end, so ids stay put.
+fn inline_once_rescan(p: S0Program) -> S0Program {
+    let mut procs: Vec<Option<S0Proc>> = p.procs.into_iter().map(Some).collect();
+    let n = procs.len();
     loop {
-        let mut counts: HashMap<String, usize> = HashMap::new();
-        for q in &p.procs {
-            q.body.calls(&mut |c| *counts.entry(c.to_string()).or_insert(0) += 1);
-        }
-        let self_recursive: HashSet<String> = p
-            .procs
-            .iter()
-            .filter(|q| {
-                let mut rec = false;
-                q.body.calls(&mut |c| rec |= c == q.name);
-                rec
-            })
-            .map(|q| q.name.clone())
-            .collect();
-        let mut call_args: HashMap<String, Vec<S0Simple>> = HashMap::new();
-        for q in &p.procs {
-            visit_calls(&q.body, &mut |callee, args| {
-                call_args.entry(callee.to_string()).or_insert_with(|| args.to_vec());
+        let mut counts = vec![0usize; n];
+        let mut self_recursive = vec![false; n];
+        let mut call_args: Vec<Option<Vec<S0Simple>>> = vec![None; n];
+        for (i, q) in procs.iter().enumerate() {
+            let Some(q) = q else { continue };
+            q.body.calls(&mut |c, args| {
+                counts[c.index()] += 1;
+                self_recursive[c.index()] |= c.index() == i;
+                call_args[c.index()].get_or_insert_with(|| args.to_vec());
             });
         }
-        let candidate = p.procs.iter().find(|q| {
-            q.name != p.entry
-                && counts.get(&q.name).copied().unwrap_or(0) == 1
-                && !self_recursive.contains(&q.name)
-                && call_args.get(&q.name).is_some_and(|args| {
-                    q.params.iter().zip(args).all(|(pm, a)| {
-                        matches!(a, S0Simple::Var(_) | S0Simple::Const(_))
-                            || occurrences_tail(&q.body, pm) <= 1
+        let candidate = (0..n).find(|&i| {
+            procs[i].as_ref().is_some_and(|q| {
+                i != p.entry.index()
+                    && counts[i] == 1
+                    && !self_recursive[i]
+                    && call_args[i].as_ref().is_some_and(|args| {
+                        args.iter().enumerate().all(|(j, a)| {
+                            matches!(a, S0Simple::Var(_) | S0Simple::Const(_))
+                                || occurrences_tail(&q.body, j as u32) <= 1
+                        })
                     })
-                })
+            })
         });
-        let Some(victim) = candidate else {
-            return p;
-        };
-        let (vname, vparams, vbody) =
-            (victim.name.clone(), victim.params.clone(), victim.body.clone());
-        p.procs.retain(|q| q.name != vname);
-        for q in &mut p.procs {
+        let Some(v) = candidate else { break };
+        let victim = procs[v].take().expect("candidates are present");
+        for q in procs.iter_mut().flatten() {
             q.body = rewrite_calls(&q.body, &mut |callee, args| {
-                if callee == vname {
-                    let map: HashMap<String, S0Simple> =
-                        vparams.iter().cloned().zip(args.iter().cloned()).collect();
-                    vbody.subst(&map)
+                if callee.index() == v {
+                    victim.body.subst(args)
                 } else {
-                    S0Tail::TailCall(callee.to_string(), args.to_vec())
+                    S0Tail::TailCall(callee, args.to_vec())
                 }
             });
         }
     }
+    // Close the holes: survivors move down past every inlined procedure.
+    let new_id: Vec<u32> = procs
+        .iter()
+        .scan(0, |next, q| {
+            let id = *next;
+            *next += u32::from(q.is_some());
+            Some(id)
+        })
+        .collect();
+    let procs = procs
+        .into_iter()
+        .flatten()
+        .map(|q| S0Proc {
+            body: rewrite_calls(&q.body, &mut |c, args| {
+                S0Tail::TailCall(ProcId(new_id[c.index()]), args.to_vec())
+            }),
+            ..q
+        })
+        .collect();
+    S0Program { procs, entry: ProcId(new_id[p.entry.index()]) }
 }
 
-fn occurrences(s: &S0Simple, v: &str) -> usize {
+fn occurrences(s: &S0Simple, v: u32) -> usize {
     match s {
-        S0Simple::Var(x) => usize::from(x == v),
+        S0Simple::Var(x) => usize::from(*x == v),
         S0Simple::Const(_) => 0,
         S0Simple::Prim(_, args) | S0Simple::MakeClosure(_, args) => {
             args.iter().map(|a| occurrences(a, v)).sum()
@@ -80,7 +89,7 @@ fn occurrences(s: &S0Simple, v: &str) -> usize {
     }
 }
 
-fn occurrences_tail(t: &S0Tail, v: &str) -> usize {
+fn occurrences_tail(t: &S0Tail, v: u32) -> usize {
     match t {
         S0Tail::Return(s) => occurrences(s, v),
         S0Tail::If(c, a, b) => {
@@ -91,24 +100,13 @@ fn occurrences_tail(t: &S0Tail, v: &str) -> usize {
     }
 }
 
-fn rewrite_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple]) -> S0Tail) -> S0Tail {
+fn rewrite_calls(t: &S0Tail, f: &mut impl FnMut(ProcId, &[S0Simple]) -> S0Tail) -> S0Tail {
     match t {
         S0Tail::Return(_) | S0Tail::Fail(_) => t.clone(),
         S0Tail::If(c, a, b) => {
             S0Tail::If(c.clone(), Box::new(rewrite_calls(a, f)), Box::new(rewrite_calls(b, f)))
         }
-        S0Tail::TailCall(p, args) => f(p, args),
-    }
-}
-
-fn visit_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple])) {
-    match t {
-        S0Tail::Return(_) | S0Tail::Fail(_) => {}
-        S0Tail::If(_, a, b) => {
-            visit_calls(a, f);
-            visit_calls(b, f);
-        }
-        S0Tail::TailCall(p, args) => f(p, args),
+        S0Tail::TailCall(p, args) => f(*p, args),
     }
 }
 

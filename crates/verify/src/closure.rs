@@ -19,9 +19,9 @@
 //!   that fall through to a `%fail` arm) — both warnings.
 
 use crate::report::{Diagnostic, Pass};
-use pe_core::{S0Program, S0Simple, S0Tail};
+use pe_core::{ProcId, S0Program, S0Simple, S0Tail};
 use pe_frontend::ast::{Constant, Prim};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// An abstract value: the `make-closure` labels that may flow here.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -65,8 +65,9 @@ impl AbsVal {
 /// captured-value count of every closure label.
 #[derive(Debug, Clone)]
 pub struct ClosureShapes {
-    /// For each procedure, the abstract value of each parameter.
-    pub params: HashMap<String, Vec<AbsVal>>,
+    /// For each procedure (by [`ProcId`]), the abstract value of each
+    /// parameter.
+    pub params: Vec<Vec<AbsVal>>,
     /// For each `make-closure` label, the minimum number of captured
     /// values over all of its allocation sites.
     pub min_captures: BTreeMap<u32, usize>,
@@ -80,30 +81,22 @@ pub fn analyze(p: &S0Program) -> ClosureShapes {
     for pr in &p.procs {
         collect_captures_tail(&pr.body, &mut min_captures);
     }
-    let mut params: HashMap<String, Vec<AbsVal>> = p
-        .procs
-        .iter()
-        .map(|pr| (pr.name.clone(), vec![AbsVal::bottom(); pr.params.len()]))
-        .collect();
+    let mut params: Vec<Vec<AbsVal>> =
+        p.procs.iter().map(|pr| vec![AbsVal::bottom(); pr.params.len()]).collect();
     // The entry's arguments come from outside: unknown.
-    if let Some(slots) = params.get_mut(&p.entry) {
+    if let Some(slots) = params.get_mut(p.entry.index()) {
         for s in slots.iter_mut() {
             *s = AbsVal::unknown();
         }
     }
     loop {
         let mut changed = false;
-        for pr in &p.procs {
-            let env: HashMap<&str, AbsVal> = pr
-                .params
-                .iter()
-                .map(String::as_str)
-                .zip(params[&pr.name].iter().cloned())
-                .collect();
+        for (f, pr) in p.procs.iter().enumerate() {
+            let env = params[f].clone();
             let mut flows = Vec::new();
             flow_tail(&pr.body, &env, &mut Vec::new(), &mut flows);
             for (callee, args) in flows {
-                if let Some(slots) = params.get_mut(&callee) {
+                if let Some(slots) = params.get_mut(callee.index()) {
                     for (slot, v) in slots.iter_mut().zip(&args) {
                         changed |= slot.join_from(v);
                     }
@@ -148,12 +141,12 @@ fn collect_captures_simple(s: &S0Simple, out: &mut BTreeMap<u32, usize>) {
 
 /// Abstract evaluation of a simple expression under `env`, honouring
 /// path refinements from enclosing dispatch tests.
-fn eval(e: &S0Simple, env: &HashMap<&str, AbsVal>, refines: &Refinements) -> AbsVal {
+fn eval(e: &S0Simple, env: &[AbsVal], refines: &Refinements) -> AbsVal {
     if let Some((_, v)) = refines.iter().rev().find(|(s, _)| s == e) {
         return v.clone();
     }
     match e {
-        S0Simple::Var(v) => env.get(v.as_str()).cloned().unwrap_or_else(AbsVal::unknown),
+        S0Simple::Var(v) => env.get(*v as usize).cloned().unwrap_or_else(AbsVal::unknown),
         // A constant is never a closure.
         S0Simple::Const(_) => AbsVal::bottom(),
         // Primitive results may hold closures fetched out of pairs (the
@@ -185,14 +178,14 @@ fn parse_dispatch(c: &S0Simple) -> Option<(&S0Simple, u32)> {
 
 fn flow_tail(
     t: &S0Tail,
-    env: &HashMap<&str, AbsVal>,
+    env: &[AbsVal],
     refines: &mut Refinements,
-    flows: &mut Vec<(String, Vec<AbsVal>)>,
+    flows: &mut Vec<(ProcId, Vec<AbsVal>)>,
 ) {
     match t {
         S0Tail::Return(_) | S0Tail::Fail(_) => {}
         S0Tail::TailCall(p, args) => {
-            flows.push((p.clone(), args.iter().map(|a| eval(a, env, refines)).collect()));
+            flows.push((*p, args.iter().map(|a| eval(a, env, refines)).collect()));
         }
         S0Tail::If(c, a, b) => {
             if let Some((subj, k)) = parse_dispatch(c) {
@@ -215,14 +208,8 @@ fn flow_tail(
 pub fn check(p: &S0Program) -> Vec<Diagnostic> {
     let shapes = analyze(p);
     let mut out = Vec::new();
-    for pr in &p.procs {
-        let env: HashMap<&str, AbsVal> = pr
-            .params
-            .iter()
-            .map(String::as_str)
-            .zip(shapes.params[&pr.name].iter().cloned())
-            .collect();
-        check_tail(&pr.body, &env, &mut Vec::new(), &shapes, &pr.name, &mut out);
+    for (pr, env) in p.procs.iter().zip(&shapes.params) {
+        check_tail(&pr.body, env, &mut Vec::new(), &shapes, &pr.name, &mut out);
     }
     out
 }
@@ -233,7 +220,7 @@ fn fmt_labels(labels: &BTreeSet<u32>) -> String {
 
 fn check_tail(
     t: &S0Tail,
-    env: &HashMap<&str, AbsVal>,
+    env: &[AbsVal],
     refines: &mut Refinements,
     shapes: &ClosureShapes,
     owner: &str,
@@ -294,7 +281,7 @@ fn check_tail(
 
 fn check_simple(
     s: &S0Simple,
-    env: &HashMap<&str, AbsVal>,
+    env: &[AbsVal],
     refines: &Refinements,
     shapes: &ClosureShapes,
     owner: &str,
@@ -347,8 +334,8 @@ mod tests {
     use super::*;
     use pe_core::S0Proc;
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
+    fn var(slot: u32) -> S0Simple {
+        S0Simple::Var(slot)
     }
 
     fn int(n: i64) -> S0Simple {
@@ -365,21 +352,21 @@ mod tests {
     /// entry(x): calls k with (make-closure 7 x); k(c) dispatches on c.
     fn two_proc_program(arm: S0Tail, else_: S0Tail, tested: u32) -> S0Program {
         S0Program {
-            entry: "entry".into(),
+            entry: ProcId(0),
             procs: vec![
                 S0Proc {
                     name: "entry".into(),
                     params: vec!["x".into()],
                     body: S0Tail::TailCall(
-                        "k".into(),
-                        vec![S0Simple::MakeClosure(7, vec![var("x")])],
+                        ProcId(1),
+                        vec![S0Simple::MakeClosure(7, vec![var(0)])],
                     ),
                 },
                 S0Proc {
                     name: "k".into(),
                     params: vec!["c".into()],
                     body: S0Tail::If(
-                        dispatch(tested, var("c")),
+                        dispatch(tested, var(0)),
                         Box::new(arm),
                         Box::new(else_),
                     ),
@@ -391,7 +378,7 @@ mod tests {
     #[test]
     fn freeval_in_range_is_clean() {
         let p = two_proc_program(
-            S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var("c")), 0)),
+            S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var(0)), 0)),
             S0Tail::Fail("no arm".into()),
             7,
         );
@@ -402,7 +389,7 @@ mod tests {
     #[test]
     fn freeval_out_of_range_is_an_error() {
         let p = two_proc_program(
-            S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var("c")), 1)),
+            S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var(0)), 1)),
             S0Tail::Fail("no arm".into()),
             7,
         );
@@ -441,22 +428,22 @@ mod tests {
     fn refinement_distinguishes_arms() {
         // Two labels with different capture counts; each arm accesses
         // only what its own label captures — clean thanks to refinement.
-        let subj = var("c");
+        let subj = var(0);
         let p = S0Program {
-            entry: "entry".into(),
+            entry: ProcId(0),
             procs: vec![
                 S0Proc {
                     name: "entry".into(),
                     params: vec!["x".into()],
                     body: S0Tail::If(
-                        S0Simple::Prim(Prim::NullP, vec![var("x")]),
+                        S0Simple::Prim(Prim::NullP, vec![var(0)]),
                         Box::new(S0Tail::TailCall(
-                            "k".into(),
-                            vec![S0Simple::MakeClosure(1, vec![var("x"), var("x")])],
+                            ProcId(1),
+                            vec![S0Simple::MakeClosure(1, vec![var(0), var(0)])],
                         )),
                         Box::new(S0Tail::TailCall(
-                            "k".into(),
-                            vec![S0Simple::MakeClosure(2, vec![var("x")])],
+                            ProcId(1),
+                            vec![S0Simple::MakeClosure(2, vec![var(0)])],
                         )),
                     ),
                 },

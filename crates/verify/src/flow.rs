@@ -1,4 +1,4 @@
-//! Pass 6: dataflow verification, adapting [`pe_flow::check`] to this
+//! Pass 6: dataflow verification, adapting [`pe_flow::check()`] to this
 //! crate's diagnostic vocabulary.
 //!
 //! The flow checks complement the syntactic passes: definite binding is
@@ -46,23 +46,23 @@ pub fn check(p: &S0Program) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pe_core::{S0Proc, S0Simple, S0Tail};
+    use pe_core::{ProcId, S0Proc, S0Simple, S0Tail};
 
     #[test]
     fn flow_errors_surface_as_flow_pass_diagnostics() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![S0Proc {
                 name: "main".into(),
                 params: vec![],
-                body: S0Tail::Return(S0Simple::Var("ghost".into())),
+                body: S0Tail::Return(S0Simple::Var(0)),
             }],
         };
         let diags = check(&p);
         assert!(
             diags.iter().any(|d| d.pass == Pass::Flow
                 && d.severity == crate::Severity::Error
-                && d.message.contains("ghost")),
+                && d.message.contains("`%slot-0`")),
             "{diags:?}"
         );
     }
@@ -70,11 +70,11 @@ mod tests {
     #[test]
     fn clean_program_produces_no_flow_diagnostics() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![S0Proc {
                 name: "main".into(),
                 params: vec!["x".into()],
-                body: S0Tail::Return(S0Simple::Var("x".into())),
+                body: S0Tail::Return(S0Simple::Var(0)),
             }],
         };
         assert!(check(&p).is_empty());

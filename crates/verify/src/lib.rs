@@ -21,7 +21,7 @@
 //! 4. **lint** ([`lints`]): unreachable procedures, dead parameters,
 //!    `%fail`-only bodies — warnings about residual quality.
 //! 5. **bta-congruence** ([`verify_division`]): audits an Unmix
-//!    [`Division`](pe_unmix::Division) against its subject program.
+//!    [`Division`] against its subject program.
 //! 6. **flow** ([`flow`]): dataflow verification via `pe-flow` —
 //!    definite binding along all CFG paths, dispatch-arm reachability,
 //!    dead closure slots.  The two lint-grade checks mirror the flow

@@ -7,8 +7,8 @@
 //! `%fail`.
 
 use crate::report::{Diagnostic, Pass};
+use pe_core::s0::proc_name;
 use pe_core::{S0Program, S0Tail};
-use std::collections::{HashMap, HashSet};
 
 /// Runs the pass.
 pub fn check(p: &S0Program) -> Vec<Diagnostic> {
@@ -16,39 +16,32 @@ pub fn check(p: &S0Program) -> Vec<Diagnostic> {
     let warn = |proc_name: &str, msg: String| Diagnostic::warning(Pass::Lint, Some(proc_name), msg);
 
     // Reachability from the entry over tail-call edges.
-    let by_name: HashMap<&str, &S0Tail> =
-        p.procs.iter().map(|pr| (pr.name.as_str(), &pr.body)).collect();
-    let mut reachable: HashSet<&str> = HashSet::new();
-    let mut work = vec![p.entry.as_str()];
-    while let Some(name) = work.pop() {
-        if !reachable.insert(name) {
-            continue;
-        }
-        if let Some(body) = by_name.get(name) {
-            body.calls(&mut |callee| {
-                if let Some((&k, _)) = by_name.get_key_value(callee) {
-                    if !reachable.contains(k) {
-                        work.push(k);
-                    }
-                }
-            });
+    let mut reachable = vec![false; p.procs.len()];
+    let mut work = vec![p.entry];
+    while let Some(f) = work.pop() {
+        let Some(seen) = reachable.get_mut(f.index()) else { continue };
+        if !std::mem::replace(seen, true) {
+            p.procs[f.index()].body.calls(&mut |callee, _| work.push(callee));
         }
     }
 
-    for pr in &p.procs {
-        if !reachable.contains(pr.name.as_str()) {
-            out.push(warn(&pr.name, format!("unreachable from entry {}", p.entry)));
+    let entry = proc_name(&p.procs, p.entry);
+    for (f, pr) in p.procs.iter().enumerate() {
+        if !reachable[f] {
+            out.push(warn(&pr.name, format!("unreachable from entry {entry}")));
         }
         if matches!(pr.body, S0Tail::Fail(_)) {
             out.push(warn(&pr.name, "body is only %fail".to_string()));
         }
-        if pr.name != p.entry {
-            let mut used = HashSet::new();
-            pr.body.vars(&mut used);
-            for prm in &pr.params {
-                if !used.contains(prm.as_str()) {
-                    out.push(warn(&pr.name, format!("dead parameter {prm}")));
+        if f != p.entry.index() {
+            let mut used = vec![false; pr.params.len()];
+            pr.body.vars(&mut |v| {
+                if let Some(u) = used.get_mut(v as usize) {
+                    *u = true;
                 }
+            });
+            for (prm, _) in pr.params.iter().zip(used).filter(|(_, u)| !u) {
+                out.push(warn(&pr.name, format!("dead parameter {prm}")));
             }
         }
     }
@@ -58,22 +51,22 @@ pub fn check(p: &S0Program) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pe_core::{S0Proc, S0Simple};
+    use pe_core::{ProcId, S0Proc, S0Simple};
 
     #[test]
     fn flags_unreachable_dead_param_and_fail_only() {
         let prog = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["x".into()],
-                    body: S0Tail::TailCall("helper".into(), vec![S0Simple::Var("x".into())]),
+                    body: S0Tail::TailCall(ProcId(1), vec![S0Simple::Var(0)]),
                 },
                 S0Proc {
                     name: "helper".into(),
                     params: vec!["x".into(), "unused".into()],
-                    body: S0Tail::Return(S0Simple::Var("x".into())),
+                    body: S0Tail::Return(S0Simple::Var(0)),
                 },
                 S0Proc {
                     name: "orphan".into(),

@@ -2,30 +2,24 @@
 //!
 //! Replaces (and absorbs) the historical `S0Program::check()`: the entry
 //! exists, procedure names are unique, parameters are unique, every
-//! variable is bound by its procedure's parameter list, every call
-//! targets a defined procedure with matching arity, and every primitive
-//! application has the primitive's arity.  The tail-form grammar itself
-//! is enforced twice: structurally by the `S0Tail`/`S0Simple` types, and
-//! on the concrete syntax by the [preservation](crate::preservation)
-//! certificate.
+//! variable slot and call target is in range, every call has its
+//! target's arity, and every primitive application has the primitive's
+//! arity.  The tail-form grammar itself is enforced twice: structurally
+//! by the `S0Tail`/`S0Simple` types, and on the concrete syntax by the
+//! [preservation](crate::preservation) certificate.
 
 use crate::report::{Diagnostic, Pass};
-use pe_core::{S0Program, S0Simple, S0Tail};
-use std::collections::{HashMap, HashSet};
+use pe_core::s0::{proc_name, var_name};
+use pe_core::{S0Proc, S0Program, S0Simple, S0Tail};
+use std::collections::{BTreeSet, HashSet};
 
 /// Runs the pass.
 pub fn check(p: &S0Program) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let err = |proc_name: Option<&str>, msg: String| Diagnostic::error(Pass::WellFormed, proc_name, msg);
 
-    // On duplicate definitions the *first* wins, matching lookup order;
-    // the duplicate itself is reported below.
-    let mut arities: HashMap<&str, usize> = HashMap::new();
-    for pr in &p.procs {
-        arities.entry(pr.name.as_str()).or_insert(pr.params.len());
-    }
-    if !arities.contains_key(p.entry.as_str()) {
-        out.push(err(None, format!("entry procedure {} is not defined", p.entry)));
+    if p.entry.index() >= p.procs.len() {
+        out.push(err(None, format!("entry procedure {} is not defined", proc_name(&p.procs, p.entry))));
     }
 
     let mut seen = HashSet::new();
@@ -39,44 +33,45 @@ pub fn check(p: &S0Program) -> Vec<Diagnostic> {
                 out.push(err(Some(&pr.name), format!("duplicate parameter {prm}")));
             }
         }
-        let mut used = HashSet::new();
-        pr.body.vars(&mut used);
-        let mut unbound: Vec<String> =
-            used.into_iter().filter(|v| !params.contains(v.as_str())).collect();
-        unbound.sort();
+        let mut unbound = BTreeSet::new();
+        pr.body.vars(&mut |v| {
+            if v as usize >= pr.params.len() {
+                unbound.insert(v);
+            }
+        });
         for v in unbound {
-            out.push(err(Some(&pr.name), format!("unbound variable {v}")));
+            out.push(err(Some(&pr.name), format!("unbound variable {}", var_name(&pr.params, v))));
         }
-        check_tail(&pr.name, &pr.body, &arities, &mut out);
+        check_tail(&pr.name, &pr.body, &p.procs, &mut out);
     }
     out
 }
 
-fn check_tail(
-    owner: &str,
-    t: &S0Tail,
-    arities: &HashMap<&str, usize>,
-    out: &mut Vec<Diagnostic>,
-) {
+fn check_tail(owner: &str, t: &S0Tail, procs: &[S0Proc], out: &mut Vec<Diagnostic>) {
     match t {
         S0Tail::Return(s) => check_simple(owner, s, out),
         S0Tail::Fail(_) => {}
         S0Tail::If(c, a, b) => {
             check_simple(owner, c, out);
-            check_tail(owner, a, arities, out);
-            check_tail(owner, b, arities, out);
+            check_tail(owner, a, procs, out);
+            check_tail(owner, b, procs, out);
         }
         S0Tail::TailCall(callee, args) => {
-            match arities.get(callee.as_str()) {
+            match procs.get(callee.index()) {
                 None => out.push(Diagnostic::error(
                     Pass::WellFormed,
                     Some(owner),
-                    format!("call to undefined procedure {callee}"),
+                    format!("call to undefined procedure {}", proc_name(procs, *callee)),
                 )),
-                Some(&n) if n != args.len() => out.push(Diagnostic::error(
+                Some(c) if c.params.len() != args.len() => out.push(Diagnostic::error(
                     Pass::WellFormed,
                     Some(owner),
-                    format!("call to {callee} with {} argument(s), expected {n}", args.len()),
+                    format!(
+                        "call to {} with {} argument(s), expected {}",
+                        c.name,
+                        args.len(),
+                        c.params.len()
+                    ),
                 )),
                 Some(_) => {}
             }
@@ -119,25 +114,25 @@ fn check_simple(owner: &str, s: &S0Simple, out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pe_core::ProcId;
     use pe_frontend::ast::{Constant, Prim};
-    use pe_core::S0Proc;
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
+    fn var(slot: u32) -> S0Simple {
+        S0Simple::Var(slot)
     }
 
     #[test]
     fn catches_all_basic_violations() {
         let prog = S0Program {
-            entry: "ghost-entry".into(),
+            entry: ProcId(5),
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["x".into(), "x".into()],
                     body: S0Tail::If(
-                        var("y"),
-                        Box::new(S0Tail::TailCall("nope".into(), vec![])),
-                        Box::new(S0Tail::TailCall("main".into(), vec![var("x")])),
+                        var(2),
+                        Box::new(S0Tail::TailCall(ProcId(7), vec![])),
+                        Box::new(S0Tail::TailCall(ProcId(0), vec![var(0)])),
                     ),
                 },
                 S0Proc {
@@ -149,10 +144,10 @@ mod tests {
         };
         let msgs: Vec<String> = check(&prog).iter().map(ToString::to_string).collect();
         let text = msgs.join("\n");
-        assert!(text.contains("entry procedure ghost-entry is not defined"), "{text}");
+        assert!(text.contains("entry procedure %proc-5 is not defined"), "{text}");
         assert!(text.contains("main: duplicate parameter x"), "{text}");
-        assert!(text.contains("main: unbound variable y"), "{text}");
-        assert!(text.contains("main: call to undefined procedure nope"), "{text}");
+        assert!(text.contains("main: unbound variable %slot-2"), "{text}");
+        assert!(text.contains("main: call to undefined procedure %proc-7"), "{text}");
         assert!(text.contains("main: call to main with 1 argument(s), expected 2"), "{text}");
         assert!(text.contains("main: duplicate procedure definition"), "{text}");
         assert!(text.contains("main: primitive car applied to 0 argument(s), expected 1"), "{text}");
@@ -161,18 +156,18 @@ mod tests {
     #[test]
     fn accepts_wellformed_loop() {
         let prog = S0Program {
-            entry: "loop".into(),
+            entry: ProcId(0),
             procs: vec![S0Proc {
                 name: "loop".into(),
                 params: vec!["n".into()],
                 body: S0Tail::If(
-                    S0Simple::Prim(Prim::ZeroP, vec![var("n")]),
+                    S0Simple::Prim(Prim::ZeroP, vec![var(0)]),
                     Box::new(S0Tail::Return(S0Simple::Const(Constant::Int(0)))),
                     Box::new(S0Tail::TailCall(
-                        "loop".into(),
+                        ProcId(0),
                         vec![S0Simple::Prim(
                             Prim::Sub,
-                            vec![var("n"), S0Simple::Const(Constant::Int(1))],
+                            vec![var(0), S0Simple::Const(Constant::Int(1))],
                         )],
                     )),
                 ),

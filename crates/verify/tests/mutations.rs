@@ -4,7 +4,7 @@
 //! A verifier that accepts any of these mutants is not checking what it
 //! claims to check.
 
-use pe_core::{CompileOptions, S0Program, S0Simple, S0Tail};
+use pe_core::{CompileOptions, ProcId, S0Program, S0Simple, S0Tail};
 use pe_verify::{verify, verify_source, Pass, Report};
 
 /// The paper's §1 example, compiled for real — closure conversion and
@@ -35,7 +35,7 @@ fn assert_caught_by(report: &Report, passes: &[Pass], who: &str) {
     );
 }
 
-fn first_call_mut(t: &mut S0Tail) -> Option<(&mut String, &mut Vec<S0Simple>)> {
+fn first_call_mut(t: &mut S0Tail) -> Option<(&mut ProcId, &mut Vec<S0Simple>)> {
     match t {
         S0Tail::Return(_) | S0Tail::Fail(_) => None,
         S0Tail::If(_, a, b) => first_call_mut(a).or_else(|| first_call_mut(b)),
@@ -95,13 +95,15 @@ fn corrupt_arity_is_caught_by_wellformed() {
 
 #[test]
 fn unbound_variable_is_caught_by_wellformed() {
-    fn poison(t: &mut S0Tail) -> bool {
+    // The first argument of some call reads a slot one past the
+    // procedure's parameters.
+    fn poison(t: &mut S0Tail, phantom: u32) -> bool {
         match t {
             S0Tail::Return(_) | S0Tail::Fail(_) => false,
-            S0Tail::If(_, a, b) => poison(a) || poison(b),
+            S0Tail::If(_, a, b) => poison(a, phantom) || poison(b, phantom),
             S0Tail::TailCall(_, args) => match args.first_mut() {
                 Some(slot) => {
-                    *slot = S0Simple::Var("phantom".into());
+                    *slot = S0Simple::Var(phantom);
                     true
                 }
                 None => false,
@@ -109,24 +111,55 @@ fn unbound_variable_is_caught_by_wellformed() {
         }
     }
     let mut s0 = compile_append();
-    let victim = s0
+    let (victim, phantom) = s0
         .procs
         .iter_mut()
-        .find_map(|pr| poison(&mut pr.body).then(|| pr.name.clone()))
+        .find_map(|pr| {
+            let phantom = pr.params.len() as u32;
+            poison(&mut pr.body, phantom).then(|| (pr.name.clone(), phantom))
+        })
         .expect("some call has arguments");
     let report = verify(&s0);
     assert_caught_by(&report, &[Pass::WellFormed, Pass::Flow], &victim);
     assert!(
-        report.errors().any(|e| e.message.contains("unbound variable phantom")),
+        report.errors().any(|e| e.message == format!("unbound variable %slot-{phantom}")),
         "{report}"
     );
     assert!(
-        report
-            .errors()
-            .any(|e| e.pass == Pass::Flow
-                && e.message.contains("`phantom` read but not definitely bound")),
+        report.errors().any(|e| e.pass == Pass::Flow
+            && e.message == format!("variable `%slot-{phantom}` read but not definitely bound")),
         "{report}"
     );
+}
+
+#[test]
+fn undefined_call_target_is_caught_by_wellformed() {
+    let mut s0 = compile_append();
+    let ghost = ProcId(s0.procs.len() as u32);
+    let victim = s0
+        .procs
+        .iter_mut()
+        .find_map(|pr| {
+            let (callee, _) = first_call_mut(&mut pr.body)?;
+            *callee = ghost;
+            Some(pr.name.clone())
+        })
+        .expect("some procedure calls");
+    let report = verify(&s0);
+    // The typed AST, the re-read concrete syntax (where the target is a
+    // name no procedure defines) and the dataflow pass all see it.
+    assert_caught_by(&report, &[Pass::WellFormed, Pass::Preservation, Pass::Flow], &victim);
+    let name = format!("%proc-{}", ghost.0);
+    for (pass, wording) in [
+        (Pass::WellFormed, format!("call to undefined procedure {name}")),
+        (Pass::Preservation, format!("unknown operator {name}")),
+        (Pass::Flow, format!("call to unknown procedure `{name}`")),
+    ] {
+        assert!(
+            report.errors().any(|e| e.pass == pass && e.message == wording),
+            "{pass:?} missed the call target mutant:\n{report}"
+        );
+    }
 }
 
 #[test]
@@ -138,7 +171,7 @@ fn broken_tail_form_is_caught_by_preservation() {
     let mutant = format!(
         "{}\n(define (mutant a b) (cons ({} a b) a))",
         s0.to_source(),
-        s0.entry
+        s0.procs[s0.entry.index()].name
     );
     let report = verify_source(&mutant);
     assert_caught_by(&report, &[Pass::Preservation], "mutant");
@@ -233,21 +266,23 @@ fn golden_report_rendering() {
     );
 
     use pe_core::S0Proc;
+    // An out-of-range call target and variable slot print as
+    // placeholders no well-formed program contains.
     let prog = S0Program {
-        entry: "main".into(),
+        entry: ProcId(0),
         procs: vec![S0Proc {
             name: "main".into(),
             params: vec!["x".into()],
-            body: S0Tail::TailCall("ghost".into(), vec![S0Simple::Var("y".into())]),
+            body: S0Tail::TailCall(ProcId(1), vec![S0Simple::Var(1)]),
         }],
     };
     let report = verify(&prog);
     assert_eq!(
         report.to_string(),
-        "error[well-formed] main: unbound variable y\n\
-         error[well-formed] main: call to undefined procedure ghost\n\
-         error[preservation] main: unknown operator ghost\n\
-         error[flow] main: variable `y` read but not definitely bound\n\
-         error[flow] main: call to unknown procedure `ghost`"
+        "error[well-formed] main: unbound variable %slot-1\n\
+         error[well-formed] main: call to undefined procedure %proc-1\n\
+         error[preservation] main: unknown operator %proc-1\n\
+         error[flow] main: variable `%slot-1` read but not definitely bound\n\
+         error[flow] main: call to unknown procedure `%proc-1`"
     );
 }

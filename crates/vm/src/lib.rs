@@ -25,10 +25,10 @@
 //! assert!(stats.steps >= 1);
 //! ```
 
-use pe_core::{S0Program, S0Simple, S0Tail};
+use pe_core::s0::{proc_name, var_name};
+use pe_core::{S0Proc, S0Program, S0Simple, S0Tail};
 use pe_frontend::ast::{Constant, Prim};
 use pe_governor::Trap;
-use pe_intern::{Symbol, SymbolMap, SymbolTable};
 use pe_interp::value::{apply_prim, Value};
 use pe_interp::{Datum, Fuel, InterpError, Limits};
 use std::fmt;
@@ -130,40 +130,27 @@ pub struct Vm {
 }
 
 impl Vm {
-    /// Resolves names to indices, checking S₀ well-formedness.
+    /// Maps procedure ids to blocks and variable slots to frame slots,
+    /// checking that each is in range and that every call has its
+    /// target's arity.
     ///
     /// # Errors
     ///
     /// Returns a [`VmError`] naming the first violation.
     pub fn compile(p: &S0Program) -> Result<Vm, VmError> {
-        // Every name is interned exactly once; from then on, procedure
-        // and parameter resolution is integer-indexed ([`SymbolMap`] /
-        // [`SlotFrame`]) and never re-hashes a string.  Residual
-        // programs repeat the same specialized names thousands of
-        // times, so this is the resolver's hot path.
-        let mut syms = SymbolTable::new();
-        let mut index: SymbolMap<usize> = SymbolMap::with_capacity(p.procs.len());
-        for (i, q) in p.procs.iter().enumerate() {
-            index.insert(syms.intern(&q.name), i);
-        }
-        let entry = syms
-            .get(p.entry.as_str())
-            .and_then(|s| index.get(s).copied())
-            .ok_or_else(|| VmError::NoEntry(p.entry.clone()))?;
+        let entry = p.entry.index();
+        let entry_name = match p.procs.get(entry) {
+            Some(q) => q.name.clone(),
+            None => return Err(VmError::NoEntry(proc_name(&p.procs, p.entry).into_owned())),
+        };
         let mut blocks = Vec::with_capacity(p.procs.len());
-        let mut names = Vec::with_capacity(p.procs.len());
-        let mut slots = SlotFrame::default();
         let mut consts = Vec::new();
         for q in &p.procs {
-            slots.begin();
-            for (i, v) in q.params.iter().enumerate() {
-                slots.set(syms.intern(v), i);
-            }
-            let body = resolve_tail(&q.body, &q.name, &syms, &slots, &index, p, &mut consts)?;
+            let body = resolve_tail(&q.body, q, &p.procs, &mut consts)?;
             blocks.push(Block { arity: q.params.len(), body });
-            names.push(q.name.clone());
         }
-        Ok(Vm { blocks, names, consts, entry, entry_name: p.entry.clone() })
+        let names = p.procs.iter().map(|q| q.name.clone()).collect();
+        Ok(Vm { blocks, names, consts, entry, entry_name })
     }
 
     /// The number of compiled blocks (procedures).
@@ -479,117 +466,66 @@ fn eval(
     }
 }
 
-/// The parameter slots of the procedure currently being resolved, keyed
-/// by interned [`Symbol`].  One allocation serves every procedure:
-/// [`SlotFrame::begin`] bumps an epoch instead of clearing, so per-proc
-/// setup costs only its own parameter count.
-#[derive(Default)]
-struct SlotFrame {
-    stamp: Vec<u32>,
-    slot: Vec<usize>,
-    epoch: u32,
-}
-
-impl SlotFrame {
-    fn begin(&mut self) {
-        self.epoch += 1;
-    }
-
-    fn set(&mut self, sym: Symbol, slot: usize) {
-        let i = sym.index();
-        if i >= self.stamp.len() {
-            self.stamp.resize(i + 1, 0);
-            self.slot.resize(i + 1, 0);
-        }
-        self.stamp[i] = self.epoch;
-        self.slot[i] = slot;
-    }
-
-    fn get(&self, sym: Symbol) -> Option<usize> {
-        let i = sym.index();
-        if self.stamp.get(i) == Some(&self.epoch) {
-            Some(self.slot[i])
-        } else {
-            None
-        }
-    }
-}
-
 fn resolve_simple(
     s: &S0Simple,
-    owner: &str,
-    syms: &SymbolTable,
-    slots: &SlotFrame,
+    owner: &S0Proc,
     consts: &mut Vec<Constant>,
 ) -> Result<RSimple, VmError> {
+    let all = |args: &[S0Simple], consts: &mut Vec<Constant>| {
+        args.iter().map(|a| resolve_simple(a, owner, consts)).collect::<Result<_, _>>()
+    };
     Ok(match s {
-        S0Simple::Var(v) => RSimple::Slot(
-            syms.get(v)
-                .and_then(|sym| slots.get(sym))
-                .ok_or_else(|| VmError::UnboundVar {
-                    proc_name: owner.to_string(),
-                    var: v.clone(),
-                })?,
-        ),
+        S0Simple::Var(v) if (*v as usize) < owner.params.len() => RSimple::Slot(*v as usize),
+        S0Simple::Var(v) => {
+            return Err(VmError::UnboundVar {
+                proc_name: owner.name.clone(),
+                var: var_name(&owner.params, *v).into_owned(),
+            })
+        }
         S0Simple::Const(k) => {
             let i = u32::try_from(consts.len()).unwrap_or(u32::MAX);
             consts.push(k.clone());
             RSimple::Const(i)
         }
-        S0Simple::Prim(op, args) => RSimple::Prim(
-            *op,
-            args.iter()
-                .map(|a| resolve_simple(a, owner, syms, slots, consts))
-                .collect::<Result<_, _>>()?,
-        ),
-        S0Simple::MakeClosure(l, args) => RSimple::MakeClosure(
-            *l,
-            args.iter()
-                .map(|a| resolve_simple(a, owner, syms, slots, consts))
-                .collect::<Result<_, _>>()?,
-        ),
+        S0Simple::Prim(op, args) => RSimple::Prim(*op, all(args, consts)?),
+        S0Simple::MakeClosure(l, args) => RSimple::MakeClosure(*l, all(args, consts)?),
         S0Simple::ClosureLabel(a) => {
-            RSimple::ClosureLabel(Box::new(resolve_simple(a, owner, syms, slots, consts)?))
+            RSimple::ClosureLabel(Box::new(resolve_simple(a, owner, consts)?))
         }
         S0Simple::ClosureFreeval(a, i) => {
-            RSimple::ClosureFreeval(Box::new(resolve_simple(a, owner, syms, slots, consts)?), *i)
+            RSimple::ClosureFreeval(Box::new(resolve_simple(a, owner, consts)?), *i)
         }
     })
 }
 
 fn resolve_tail(
     t: &S0Tail,
-    owner: &str,
-    syms: &SymbolTable,
-    slots: &SlotFrame,
-    index: &SymbolMap<usize>,
-    p: &S0Program,
+    owner: &S0Proc,
+    procs: &[S0Proc],
     consts: &mut Vec<Constant>,
 ) -> Result<RTail, VmError> {
     Ok(match t {
-        S0Tail::Return(s) => RTail::Return(resolve_simple(s, owner, syms, slots, consts)?),
+        S0Tail::Return(s) => RTail::Return(resolve_simple(s, owner, consts)?),
         S0Tail::If(c, a, b) => RTail::If(
-            resolve_simple(c, owner, syms, slots, consts)?,
-            Box::new(resolve_tail(a, owner, syms, slots, index, p, consts)?),
-            Box::new(resolve_tail(b, owner, syms, slots, index, p, consts)?),
+            resolve_simple(c, owner, consts)?,
+            Box::new(resolve_tail(a, owner, procs, consts)?),
+            Box::new(resolve_tail(b, owner, procs, consts)?),
         ),
         S0Tail::TailCall(callee, args) => {
-            let target = *syms
-                .get(callee)
-                .and_then(|sym| index.get(sym))
-                .ok_or_else(|| VmError::UndefinedProc(callee.clone()))?;
-            let expected = p.procs[target].params.len();
-            if expected != args.len() {
+            let target = procs
+                .get(callee.index())
+                .ok_or_else(|| VmError::UndefinedProc(proc_name(procs, *callee).into_owned()))?;
+            if target.params.len() != args.len() {
                 return Err(VmError::Arity {
-                    name: callee.clone(),
-                    expected,
+                    name: target.name.clone(),
+                    expected: target.params.len(),
                     got: args.len(),
                 });
             }
             RTail::Goto(
-                target,
+                callee.index(),
                 args.iter()
-                    .map(|a| resolve_simple(a, owner, syms, slots, consts))
+                    .map(|a| resolve_simple(a, owner, consts))
                     .collect::<Result<_, _>>()?,
             )
         }
@@ -770,43 +706,41 @@ mod tests {
 
     #[test]
     fn vm_compile_rejects_bad_programs() {
-        use pe_core::{S0Proc, S0Program, S0Simple, S0Tail};
-        let bad = S0Program {
-            entry: "main".into(),
-            procs: vec![S0Proc {
-                name: "main".into(),
-                params: vec![],
-                body: S0Tail::TailCall("ghost".into(), vec![]),
-            }],
+        use pe_core::{ProcId, S0Proc};
+        let main = |body| S0Program {
+            entry: ProcId(0),
+            procs: vec![S0Proc { name: "main".into(), params: vec![], body }],
         };
-        assert!(matches!(Vm::compile(&bad), Err(VmError::UndefinedProc(_))));
-        let bad = S0Program {
-            entry: "main".into(),
-            procs: vec![S0Proc {
-                name: "main".into(),
-                params: vec![],
-                body: S0Tail::Return(S0Simple::Var("x".into())),
-            }],
-        };
-        assert!(matches!(Vm::compile(&bad), Err(VmError::UnboundVar { .. })));
-        let bad = S0Program { entry: "nope".into(), procs: vec![] };
-        assert!(matches!(Vm::compile(&bad), Err(VmError::NoEntry(_))));
+        let bad = main(S0Tail::TailCall(ProcId(1), vec![]));
+        assert_eq!(Vm::compile(&bad).unwrap_err(), VmError::UndefinedProc("%proc-1".into()));
+        let bad = main(S0Tail::TailCall(ProcId(0), vec![S0Simple::Const(Constant::Nil)]));
+        assert_eq!(
+            Vm::compile(&bad).unwrap_err(),
+            VmError::Arity { name: "main".into(), expected: 0, got: 1 }
+        );
+        let bad = main(S0Tail::Return(S0Simple::Var(0)));
+        assert_eq!(
+            Vm::compile(&bad).unwrap_err(),
+            VmError::UnboundVar { proc_name: "main".into(), var: "%slot-0".into() }
+        );
+        let bad = S0Program { entry: ProcId(0), procs: vec![] };
+        assert_eq!(Vm::compile(&bad).unwrap_err(), VmError::NoEntry("%proc-0".into()));
     }
 
     #[test]
     fn run_s0_separates_compile_and_run_errors() {
-        use pe_core::{S0Proc, S0Program};
-        let bad = S0Program { entry: "nope".into(), procs: vec![] };
+        use pe_core::{ProcId, S0Proc};
+        let bad = S0Program { entry: ProcId(0), procs: vec![] };
         assert!(matches!(
             run_s0(&bad, &[], Limits::default()),
             Err(S0RunError::Compile(VmError::NoEntry(_)))
         ));
         let diverge = S0Program {
-            entry: "f".into(),
+            entry: ProcId(0),
             procs: vec![S0Proc {
                 name: "f".into(),
                 params: vec![],
-                body: S0Tail::TailCall("f".into(), vec![]),
+                body: S0Tail::TailCall(ProcId(0), vec![]),
             }],
         };
         let lim = Limits { fuel: 100, ..Limits::default() };
@@ -845,16 +779,16 @@ mod tests {
 
     #[test]
     fn closure_misuse_is_a_dispatch_trap() -> R {
-        use pe_core::{S0Proc, S0Program};
+        use pe_core::{ProcId, S0Proc};
         // closure-freeval on an int: compiles (S₀ is untyped) but must
         // trap with a pc, not panic.
         let p = S0Program {
-            entry: "main".into(),
+            entry: ProcId(0),
             procs: vec![S0Proc {
                 name: "main".into(),
                 params: vec!["x".into()],
                 body: S0Tail::Return(S0Simple::ClosureFreeval(
-                    Box::new(S0Simple::Var("x".into())),
+                    Box::new(S0Simple::Var(0)),
                     0,
                 )),
             }],

@@ -237,7 +237,8 @@ struct PendingProc<'p> {
 pub struct MemoSnapshot {
     memo: FxHashMap<Key, ProcId>,
     /// Residual procedures emitted for the memoized points (everything
-    /// except the entry wrapper), in emission order.
+    /// except the entry wrapper), in emission order: the procedure with
+    /// id n is `procs[n - 1]`.
     procs: Vec<S0Proc>,
     next_cv: CvId,
     next_proc: u32,
@@ -502,7 +503,7 @@ impl<'p> Spec<'p> {
     /// Like [`Spec::compile_audited_with`], additionally capturing a
     /// [`MemoSnapshot`] of the finished memo table for warm-starting a
     /// later compile of the same program.  The snapshot holds the *raw*
-    /// residual procedures (pre-postprocess), because the memo names
+    /// residual procedures (pre-postprocess), because the memo ids
     /// refer to them.
     ///
     /// # Errors
@@ -521,7 +522,7 @@ impl<'p> Spec<'p> {
         let snap = MemoSnapshot {
             memo: std::mem::take(&mut self.memo),
             // Everything but the entry wrapper: those are the procedures
-            // the memo table's values name.
+            // the memo table's ids point at.
             procs: p.procs[1..].to_vec(),
             next_cv: self.next_cv,
             next_proc: self.next_proc,

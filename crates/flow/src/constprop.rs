@@ -93,7 +93,8 @@ pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<ConstFacts, Trap> {
             // nothing.
             q.body.calls(&mut |callee, args| {
                 for (i, a) in args.iter().enumerate() {
-                    if let Some(slot) = facts.get_mut(callee.index()).and_then(|row| row.get_mut(i)) {
+                    let row = facts.get_mut(callee.index());
+                    if let Some(slot) = row.and_then(|row| row.get_mut(i)) {
                         changed |= slot.join(&eval_arg(a, &env));
                     }
                 }
@@ -172,7 +173,11 @@ mod tests {
             procs: vec![
                 proc_("main", &["x"], call(1, vec![kint(5), var(0)])),
                 proc_("f", &["a", "b"], call(2, vec![var(0), var(1)])),
-                proc_("g", &["c", "d"], S0Tail::Return(S0Simple::Prim(Prim::Add, vec![var(0), var(1)]))),
+                proc_(
+                    "g",
+                    &["c", "d"],
+                    S0Tail::Return(S0Simple::Prim(Prim::Add, vec![var(0), var(1)])),
+                ),
             ],
         };
         let (q, n) = propagate(p, &mut fuel()).unwrap();

@@ -19,8 +19,13 @@
 //! * [`opt`] — the residual optimizer in two stages: Unmix-style
 //!   syntactic post-processing ([`postprocess`]) and the flow passes
 //!   ([`optimize`]);
-//! * [`check`](mod@check) — flow-based verification lints (definite binding,
+//! * [`check`](mod@check) — flow-based verification (definite binding,
 //!   dispatch-arm reachability, dead closure slots).
+//!
+//! S₀ names are resolved once, when the specializer emits a program: a
+//! call names its target by [`s0::ProcId`] (a position in the program)
+//! and a variable by its parameter slot, so every analysis here indexes
+//! vectors instead of hashing names.
 //!
 //! The crate sits *below* pe-core: the specializer post-processes and
 //! verifies through these analyses, and pe-core re-exports [`s0`] under

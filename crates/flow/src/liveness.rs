@@ -156,7 +156,7 @@ pub fn param_liveness(p: &S0Program, fuel: &mut Fuel) -> Result<ParamLiveness, T
             fuel.step()?;
             let mut read: Vec<u32> = u.direct.clone();
             for (callee, i, vs) in &u.flows {
-                let at = |t: &Vec<Vec<bool>>| t.get(callee.index()).and_then(|l| l.get(*i)).copied();
+                let at = |t: &[Vec<bool>]| t.get(callee.index())?.get(*i).copied();
                 // Unknown callee or arity overflow: be conservative.
                 if at(&live).unwrap_or(true) || at(&sticky).unwrap_or(true) {
                     read.extend(vs);
@@ -280,7 +280,10 @@ mod tests {
                     S0Tail::If(
                         S0Simple::Prim(Prim::ZeroP, vec![var(0)]),
                         Box::new(S0Tail::Return(kint(0))),
-                        Box::new(call(1, vec![S0Simple::Prim(Prim::Sub, vec![var(0), kint(1)]), var(1)])),
+                        Box::new(call(
+                            1,
+                            vec![S0Simple::Prim(Prim::Sub, vec![var(0), kint(1)]), var(1)],
+                        )),
                     ),
                 ),
             ],
@@ -297,7 +300,11 @@ mod tests {
         let mut q = S0Program {
             entry: ProcId(0),
             procs: vec![
-                proc_("main", &["x"], call(1, vec![S0Simple::Prim(Prim::Car, vec![var(0)]), var(0)])),
+                proc_(
+                    "main",
+                    &["x"],
+                    call(1, vec![S0Simple::Prim(Prim::Car, vec![var(0)]), var(0)]),
+                ),
                 proc_("f", &["dead", "live"], S0Tail::Return(var(1))),
             ],
         };

@@ -279,10 +279,10 @@ fn compact(procs: Vec<Option<S0Proc>>, entry: ProcId) -> S0Program {
             None => ProcId(u32::MAX),
         })
         .collect();
-    let renumber = |id: &mut ProcId| *id = remap.get(id.index()).copied().unwrap_or(*id);
+    let mut renumber = |id: &mut ProcId| *id = remap.get(id.index()).copied().unwrap_or(*id);
     let mut procs: Vec<S0Proc> = procs.into_iter().flatten().collect();
     for q in &mut procs {
-        calls_mut(&mut q.body, &mut |id| renumber(id));
+        calls_mut(&mut q.body, &mut renumber);
     }
     let mut entry = entry;
     renumber(&mut entry);

@@ -50,12 +50,13 @@ fn compile_unoptimized(body: &str) -> S0Program {
         .expect("compiles")
 }
 
-/// Every variable the procedure body mentions, collected syntactically.
-fn reads(q: &S0Proc) -> BTreeSet<String> {
-    fn simple(s: &S0Simple, out: &mut BTreeSet<String>) {
+/// Every variable slot the procedure body mentions, collected
+/// syntactically.
+fn reads(q: &S0Proc) -> BTreeSet<u32> {
+    fn simple(s: &S0Simple, out: &mut BTreeSet<u32>) {
         match s {
             S0Simple::Var(v) => {
-                out.insert(v.clone());
+                out.insert(*v);
             }
             S0Simple::Const(_) => {}
             S0Simple::Prim(_, args) | S0Simple::MakeClosure(_, args) => {
@@ -64,7 +65,7 @@ fn reads(q: &S0Proc) -> BTreeSet<String> {
             S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => simple(a, out),
         }
     }
-    fn walk(t: &S0Tail, out: &mut BTreeSet<String>) {
+    fn walk(t: &S0Tail, out: &mut BTreeSet<u32>) {
         match t {
             S0Tail::Return(s) => simple(s, out),
             S0Tail::Fail(_) => {}
@@ -96,21 +97,21 @@ proptest! {
         for q in &s0.procs {
             let live = pe_flow::liveness::live_at_entry(q, &mut fuel).expect("fuel");
             let read = reads(q);
-            for p in &q.params {
+            for (slot, p) in (0u32..).zip(&q.params) {
                 prop_assert_eq!(
-                    live.contains(p),
-                    read.contains(p),
+                    live.contains(&slot),
+                    read.contains(&slot),
                     "proc {} param {}: live_at_entry disagrees with syntactic reads",
                     q.name, p
                 );
             }
             // Soundness proper: everything read is live somewhere, so
             // nothing the body mentions may be missing from the entry
-            // set *if it is a parameter* (non-parameters cannot be live
-            // at entry in well-formed S₀).
+            // set *if it is a parameter slot* (other slots cannot occur
+            // in well-formed S₀).
             for v in &read {
-                if q.params.contains(v) {
-                    prop_assert!(live.contains(v), "proc {}: read {} not live", q.name, v);
+                if (*v as usize) < q.params.len() {
+                    prop_assert!(live.contains(v), "proc {}: read slot {} not live", q.name, v);
                 }
             }
         }

@@ -276,31 +276,35 @@ impl Server {
         let batch_start = Instant::now();
         let slots: Vec<Mutex<Option<CompileResponse>>> =
             requests.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(req) = requests.get(i) else { break };
-                    // Queue wait: submission (batch start) to pickup.
-                    {
-                        let mut m = self.metrics_lock();
-                        m.record_queue_wait(elapsed_ns(batch_start));
-                        m.enter_flight();
-                    }
-                    let picked_up = Instant::now();
-                    let resp = self.handle(req, shared);
-                    let latency = elapsed_ns(picked_up);
-                    {
-                        let mut m = self.metrics_lock();
-                        m.leave_flight();
-                        if let Some(class) = latency_class(&resp.outcome) {
-                            m.record_latency(class, latency);
-                        }
-                    }
-                    *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                        Some(resp);
-                });
+        // The calling thread is one of the workers, so a batch served on
+        // one thread spawns none.
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(req) = requests.get(i) else { break };
+            // Queue wait: submission (batch start) to pickup.
+            {
+                let mut m = self.metrics_lock();
+                m.record_queue_wait(elapsed_ns(batch_start));
+                m.enter_flight();
             }
+            let picked_up = Instant::now();
+            let resp = self.handle(req, shared);
+            let latency = elapsed_ns(picked_up);
+            {
+                let mut m = self.metrics_lock();
+                m.leave_flight();
+                if let Some(class) = latency_class(&resp.outcome) {
+                    m.record_latency(class, latency);
+                }
+            }
+            *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
+                Some(resp);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
         });
         slots
             .into_iter()

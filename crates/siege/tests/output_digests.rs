@@ -61,9 +61,7 @@ fn printed_s0_and_emitted_c_are_pinned() {
     });
     let differing: Vec<&str> = rows
         .iter()
-        .filter(|(name, nodes, s0, c_bytes, c)| {
-            !PINNED.iter().any(|p| (p.0, p.1, p.2, p.3, p.4) == (name.as_str(), *nodes, *s0, *c_bytes, *c))
-        })
+        .filter(|r| !PINNED.contains(&(r.0.as_str(), r.1, r.2, r.3, r.4)))
         .map(|r| r.0.as_str())
         .collect();
     if differing.is_empty() && rows.len() == PINNED.len() {

@@ -1,9 +1,10 @@
 //! Pass 6: dataflow verification, adapting [`pe_flow::check()`] to this
 //! crate's diagnostic vocabulary.
 //!
-//! The flow checks complement the syntactic passes: definite binding is
-//! established along *all* CFG paths by a forward must-analysis (not a
-//! scope walk), and the two residual-quality lints — statically
+//! The flow checks complement the syntactic passes: definite binding
+//! along *all* paths (which in S₀, where procedures bind only at entry,
+//! is a per-node check that every read slot is a parameter), and the
+//! two residual-quality lints — statically
 //! decidable dispatch arms, capture slots never read — mirror the flow
 //! optimizer's own analyses exactly.  A program that went through
 //! `pe_flow::optimize` therefore passes both lints by construction;

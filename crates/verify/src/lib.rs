@@ -7,8 +7,9 @@
 //! and ordinary well-formedness — with a multi-pass static analyzer
 //! instead of trusting it:
 //!
-//! 1. **well-formed** ([`wellformed`]): scoping, unique procedure names
-//!    and parameters, call-target existence, call and primitive arity.
+//! 1. **well-formed** ([`wellformed`]): variable slots and call targets
+//!    in range, unique procedure names and parameters, call and
+//!    primitive arity.
 //!    Absorbs the historical `S0Program::check()`.
 //! 2. **closure-shape** ([`closure`]): an abstract interpretation
 //!    mapping variables to sets of `make-closure` labels; verifies every
@@ -23,7 +24,7 @@
 //! 5. **bta-congruence** ([`verify_division`]): audits an Unmix
 //!    [`Division`] against its subject program.
 //! 6. **flow** ([`flow`]): dataflow verification via `pe-flow` —
-//!    definite binding along all CFG paths, dispatch-arm reachability,
+//!    definite binding along all paths, dispatch-arm reachability,
 //!    dead closure slots.  The two lint-grade checks mirror the flow
 //!    optimizer exactly, so optimized pipeline output passes them by
 //!    construction.
@@ -138,6 +139,34 @@ mod tests {
         let src = "(define (count n) (if (zero? n) 0 (count (- n 1))))";
         let r = verify_source(src);
         assert!(r.is_clean(), "{r}");
+    }
+
+    #[test]
+    fn out_of_range_entry_ids_and_slots_are_errors_not_panics() {
+        use pe_core::{ProcId, S0Proc, S0Simple, S0Tail};
+        let p = S0Program {
+            entry: ProcId(3),
+            procs: vec![S0Proc {
+                name: "main".into(),
+                params: vec![],
+                body: S0Tail::If(
+                    S0Simple::Var(2),
+                    Box::new(S0Tail::TailCall(ProcId(9), vec![])),
+                    Box::new(S0Tail::Return(S0Simple::Var(0))),
+                ),
+            }],
+        };
+        let text = verify(&p).to_string();
+        for want in [
+            "error[well-formed] entry procedure %proc-3 is not defined",
+            "error[well-formed] main: unbound variable %slot-0",
+            "error[well-formed] main: unbound variable %slot-2",
+            "error[well-formed] main: call to undefined procedure %proc-9",
+            "error[flow] main: call to unknown procedure `%proc-9`",
+            "warning[lint] main: unreachable from entry %proc-3",
+        ] {
+            assert!(text.contains(want), "missing {want:?} in:\n{text}");
+        }
     }
 
     #[test]

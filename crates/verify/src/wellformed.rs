@@ -19,7 +19,8 @@ pub fn check(p: &S0Program) -> Vec<Diagnostic> {
     let err = |proc_name: Option<&str>, msg: String| Diagnostic::error(Pass::WellFormed, proc_name, msg);
 
     if p.entry.index() >= p.procs.len() {
-        out.push(err(None, format!("entry procedure {} is not defined", proc_name(&p.procs, p.entry))));
+        let entry = proc_name(&p.procs, p.entry);
+        out.push(err(None, format!("entry procedure {entry} is not defined")));
     }
 
     let mut seen = HashSet::new();

@@ -6,7 +6,9 @@
 //! parameter variables followed by `goto`, and closures are flat
 //! vectors.  This crate implements exactly that execution model in Rust:
 //! one dispatch loop, a register frame for the current procedure's
-//! parameters, and resolved (index-based) operands — so benchmark
+//! parameters, and index-based operands (S₀ already names procedures
+//! by position and variables by parameter slot, so loading maps them
+//! straight to blocks and frame slots) — so benchmark
 //! numbers measured here transfer to the C code's behaviour, and the
 //! instruction/allocation counters give deterministic, machine-
 //! independent cost figures for the evaluation tables.

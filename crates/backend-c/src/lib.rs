@@ -18,7 +18,10 @@
 //! The paper uses the Boehm collector with "no cooperation between the
 //! translation and the garbage collector"; allocation strategy being
 //! orthogonal, the emitted runtime uses a self-contained bump arena
-//! (documented substitution — benchmarks are sized for it).
+//! (documented substitution — benchmarks are sized for it).  Booleans,
+//! `'()` and small integers are preallocated immortal objects, so the C
+//! allocates what the VM counts in `vm.allocs` (pairs and closures),
+//! plus large integers, characters, symbols and strings.
 
 use pe_core::s0::proc_name;
 use pe_core::{ProcId, S0Proc, S0Program, S0Simple, S0Tail};
@@ -30,6 +33,20 @@ use std::fmt::Write as _;
 
 /// Bytes of the bump arena in the emitted runtime.
 const ARENA_BYTES: usize = 256 << 20;
+
+/// The integers the runtime preallocates: `rt_int` allocates only
+/// outside this range.  Closure labels are small, so `closure-label`
+/// reads stay inside it.
+const SMALL_INTS: std::ops::RangeInclusive<i64> = -16..=1023;
+
+/// A constant whose C construction can neither allocate nor fail.
+fn immediate(k: &Constant) -> bool {
+    match k {
+        Constant::Int(n) => SMALL_INTS.contains(n),
+        Constant::Bool(_) | Constant::Nil => true,
+        _ => false,
+    }
+}
 
 /// Options for the C translation.
 #[derive(Debug, Clone)]
@@ -66,7 +83,6 @@ impl CProgram {
 }
 
 struct Emitter<'p> {
-    out: String,
     /// The program's procedures, for the spelling of labels.
     procs: &'p [S0Proc],
     /// Procedure → sanitized unique C label, assigned on first use.
@@ -152,10 +168,13 @@ impl Emitter<'_> {
     /// Translates a simple expression into a C expression that assigns
     /// every intermediate result to a fresh single-use temporary,
     /// sequenced with the comma operator (§5.1), and evaluates to the
-    /// final temporary.  Temporary declarations accumulate in `temps`.
+    /// final temporary.  Variables and [`immediate`] constants, which
+    /// cannot fail or allocate, appear inline.  Temporary declarations
+    /// accumulate in `temps`.
     fn simple(&mut self, s: &S0Simple, temps: &mut Vec<String>) -> String {
         let expr = match s {
             S0Simple::Var(v) => return format!("p{v}"),
+            S0Simple::Const(k) if immediate(k) => return self.constant(k),
             S0Simple::Const(k) => self.constant(k),
             S0Simple::Prim(op, args) => {
                 let xs: Vec<String> =
@@ -306,7 +325,6 @@ fn datum_literal(e: &mut Emitter, d: &Datum) -> String {
 /// S-expression.
 pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     let mut e = Emitter {
-        out: String::new(),
         procs: &p.procs,
         labels: vec![None; p.procs.len()],
         used: HashMap::new(),
@@ -391,7 +409,6 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     let _ = writeln!(out, "  return 0;");
     let _ = writeln!(out, "}}");
 
-    let _ = &e.out;
     CProgram { source: out, moves_elided: e.moves_elided }
 }
 
@@ -400,6 +417,7 @@ fn runtime_header(symbols: &[String], strings: &[String]) -> String {
     let _ = writeln!(
         h,
         r#"/* generated by pe-backend-c — S0-to-C translation (Sperber/Thiemann §5.1) */
+#include <limits.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
@@ -427,24 +445,32 @@ struct Obj {{
         let _ = writeln!(h, "  {:?},", s);
     }
     let _ = writeln!(h, "  0\n}};");
+    // Only `rt_bool` makes booleans and only `rt_nil` makes `'()`, and
+    // both return static objects, so `rt_truthy` and `rt_eq_raw` decide
+    // them by identity.  `rt_die` returns `Obj *` (it never returns) so
+    // the checked operations can trap inside a conditional expression.
     let _ = writeln!(
         h,
         r##"
-/* Bump arena: substitution for the Boehm collector (see DESIGN.md). */
+/* Bump arena: substitution for the Boehm collector (see DESIGN.md).
+   Booleans, '() and small integers are preallocated. */
 static char *rt_arena, *rt_free_ptr, *rt_end;
+static Obj rt_true = {{T_BOOL, {{1}}}}, rt_false = {{T_BOOL, {{0}}}}, rt_nil_obj = {{T_NIL, {{0}}}}, rt_small[{small_len}];
 static void rt_init(void) {{
+  int i;
+  for (i = 0; i < {small_len}; i++) {{ rt_small[i].tag = T_INT; rt_small[i].u.i = i - {small_bias}; }}
   rt_arena = (char *)malloc({arena});
   if (!rt_arena) {{ fprintf(stderr, "arena allocation failed\n"); exit(2); }}
   rt_free_ptr = rt_arena;
   rt_end = rt_arena + {arena};
 }}
-static void rt_die(const char *msg) {{
+static Obj *rt_die(const char *msg) {{
   fprintf(stderr, "runtime error: %s\n", msg);
   exit(1);
 }}
 static void *rt_alloc(size_t n) {{
   n = (n + 15) & ~(size_t)15;
-  if (rt_free_ptr + n > rt_end) rt_die("arena exhausted");
+  if ((size_t)(rt_end - rt_free_ptr) < n) rt_die("arena exhausted");
   {{ void *p = rt_free_ptr; rt_free_ptr += n; return p; }}
 }}
 static Obj *rt_new(int tag) {{
@@ -452,16 +478,20 @@ static Obj *rt_new(int tag) {{
   o->tag = tag;
   return o;
 }}
-static Obj *rt_int(long n) {{ Obj *o = rt_new(T_INT); o->u.i = n; return o; }}
-static Obj *rt_bool(int b) {{ Obj *o = rt_new(T_BOOL); o->u.i = b; return o; }}
+static Obj *rt_int(long n) {{
+  Obj *o;
+  if (n >= {small_min} && n <= {small_max}) return &rt_small[n + {small_bias}];
+  o = rt_new(T_INT); o->u.i = n; return o;
+}}
+static Obj *rt_bool(int b) {{ return b ? &rt_true : &rt_false; }}
 static Obj *rt_char(long c) {{ Obj *o = rt_new(T_CHAR); o->u.i = c; return o; }}
-static Obj *rt_nil(void) {{ Obj *o = rt_new(T_NIL); return o; }}
+static Obj *rt_nil(void) {{ return &rt_nil_obj; }}
 static Obj *rt_sym(long i) {{ Obj *o = rt_new(T_SYM); o->u.i = i; return o; }}
 static Obj *rt_str(long i) {{ Obj *o = rt_new(T_STR); o->u.i = i; return o; }}
 static Obj *rt_cons(Obj *a, Obj *d) {{
   Obj *o = rt_new(T_PAIR); o->u.pair.car = a; o->u.pair.cdr = d; return o;
 }}
-static int rt_truthy(Obj *o) {{ return !(o->tag == T_BOOL && o->u.i == 0); }}
+static int rt_truthy(Obj *o) {{ return o != &rt_false; }}
 static Obj *rt_car(Obj *o) {{ if (o->tag != T_PAIR) rt_die("car: not a pair"); return o->u.pair.car; }}
 static Obj *rt_cdr(Obj *o) {{ if (o->tag != T_PAIR) rt_die("cdr: not a pair"); return o->u.pair.cdr; }}
 static Obj *rt_nullp(Obj *o) {{ return rt_bool(o->tag == T_NIL); }}
@@ -471,31 +501,29 @@ static Obj *rt_symbolp(Obj *o) {{ return rt_bool(o->tag == T_SYM); }}
 static Obj *rt_numberp(Obj *o) {{ return rt_bool(o->tag == T_INT); }}
 static Obj *rt_booleanp(Obj *o) {{ return rt_bool(o->tag == T_BOOL); }}
 static long rt_ival(Obj *o) {{ if (o->tag != T_INT) rt_die("expected number"); return o->u.i; }}
-static Obj *rt_add(Obj *a, Obj *b) {{ return rt_int(rt_ival(a) + rt_ival(b)); }}
-static Obj *rt_sub(Obj *a, Obj *b) {{ return rt_int(rt_ival(a) - rt_ival(b)); }}
-static Obj *rt_mul(Obj *a, Obj *b) {{ return rt_int(rt_ival(a) * rt_ival(b)); }}
-static Obj *rt_quotient(Obj *a, Obj *b) {{
-  long d = rt_ival(b); if (d == 0) rt_die("quotient: division by zero");
-  return rt_int(rt_ival(a) / d);
-}}
-static Obj *rt_remainder(Obj *a, Obj *b) {{
-  long d = rt_ival(b); if (d == 0) rt_die("remainder: division by zero");
-  return rt_int(rt_ival(a) % d);
-}}
+/* Fixnum arithmetic traps overflow, as the VM does. */
+#define RT_CHECKED(op, x, y, name) {{ long r; return __builtin_##op##_overflow(x, y, &r) ? rt_die(name ": fixnum overflow") : rt_int(r); }}
+static Obj *rt_add(Obj *a, Obj *b) RT_CHECKED(add, rt_ival(a), rt_ival(b), "+")
+static Obj *rt_sub(Obj *a, Obj *b) RT_CHECKED(sub, rt_ival(a), rt_ival(b), "-")
+static Obj *rt_mul(Obj *a, Obj *b) RT_CHECKED(mul, rt_ival(a), rt_ival(b), "*")
+static Obj *rt_add1(Obj *o) RT_CHECKED(add, rt_ival(o), 1L, "add1")
+static Obj *rt_sub1(Obj *o) RT_CHECKED(sub, rt_ival(o), 1L, "sub1")
+#define RT_DIVISION(f, op, name) static Obj *f(Obj *a, Obj *b) {{ \
+  long n = rt_ival(a), d = rt_ival(b); if (d == 0) rt_die(name ": division by zero"); \
+  return d == -1 && n == LONG_MIN ? rt_die(name ": fixnum overflow") : rt_int(n op d); }}
+RT_DIVISION(rt_quotient, /, "quotient")
+RT_DIVISION(rt_remainder, %, "remainder")
 static Obj *rt_numeq(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) == rt_ival(b)); }}
 static Obj *rt_lt(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) < rt_ival(b)); }}
 static Obj *rt_gt(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) > rt_ival(b)); }}
 static Obj *rt_le(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) <= rt_ival(b)); }}
 static Obj *rt_ge(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) >= rt_ival(b)); }}
 static Obj *rt_zerop(Obj *o) {{ return rt_bool(rt_ival(o) == 0); }}
-static Obj *rt_add1(Obj *o) {{ return rt_int(rt_ival(o) + 1); }}
-static Obj *rt_sub1(Obj *o) {{ return rt_int(rt_ival(o) - 1); }}
 static int rt_eq_raw(Obj *a, Obj *b) {{
   if (a == b) return 1;
   if (a->tag != b->tag) return 0;
   switch (a->tag) {{
-    case T_INT: case T_BOOL: case T_CHAR: case T_SYM: case T_STR: return a->u.i == b->u.i;
-    case T_NIL: return 1;
+    case T_INT: case T_CHAR: case T_SYM: case T_STR: return a->u.i == b->u.i;
     default: return 0;
   }}
 }}
@@ -510,11 +538,12 @@ static int rt_equal_raw(Obj *a, Obj *b) {{
 static Obj *rt_equalp(Obj *a, Obj *b) {{ return rt_bool(rt_equal_raw(a, b)); }}
 static Obj *rt_closure(long label, int n, ...) {{
   __builtin_va_list ap;
-  Obj *o = rt_new(T_CLO);
+  Obj *o = (Obj *)rt_alloc(sizeof(Obj) + sizeof(Obj *) * n);
   int i;
+  o->tag = T_CLO;
   o->u.clo.label = label;
   o->u.clo.n = n;
-  o->u.clo.fv = (Obj **)rt_alloc(sizeof(Obj *) * (n ? n : 1));
+  o->u.clo.fv = (Obj **)(o + 1);
   __builtin_va_start(ap, n);
   for (i = 0; i < n; i++) o->u.clo.fv[i] = __builtin_va_arg(ap, Obj *);
   __builtin_va_end(ap);
@@ -553,7 +582,11 @@ static void rt_print(Obj *o) {{
   }}
 }}
 "##,
-        arena = ARENA_BYTES
+        arena = ARENA_BYTES,
+        small_min = SMALL_INTS.start(),
+        small_max = SMALL_INTS.end(),
+        small_bias = -SMALL_INTS.start(),
+        small_len = SMALL_INTS.end() - SMALL_INTS.start() + 1,
     );
     h
 }

@@ -81,319 +81,319 @@ fn printed_s0_and_emitted_c_are_pinned() {
 
 #[rustfmt::skip]
 const PINNED: &[(&str, usize, u64, usize, u64)] = &[
-    ("deriv", 4785, 0x82f07dd5711f5e9e, 176909, 0x643cd323c624e49f),
-    ("tak", 122, 0x5e8e4cdcf840e05c, 8655, 0x3c2c6b7494ebb8ba),
-    ("cpstak", 335, 0x489e883633c32b7a, 13238, 0x30a58a05407f184b),
-    ("takl", 2018, 0xb0c3cac10233379f, 70534, 0xb997b88f95955820),
-    ("fibclos", 174, 0x39b4effd10438931, 9954, 0x88d51ae5cd2108fc),
-    ("cps-append", 1540, 0x0891035b14351f3a, 51497, 0xdb6f30fea64dd1e1),
-    ("queens", 608, 0xacb4421457dbc2cb, 23485, 0xb94bff122f9b053e),
-    ("ascent", 9, 0x4f902b63fd44178a, 6132, 0xce206716fad63565),
-    ("cps-dispatch", 13, 0x20f6dd81f320e43a, 6219, 0x24fb21fc1062b910),
-    ("deep-chain", 103, 0x22dfcfbbb7bb2287, 8454, 0xe6f20d73a21b2a3d),
-    ("grow-heap", 19, 0x164d62d3602f4366, 6305, 0x5608311deee04b24),
-    ("mutual", 20, 0xa4708700327c8278, 6383, 0x9fe623341247f8c7),
+    ("deriv", 4785, 0x82f07dd5711f5e9e, 161870, 0x720539e5cdc161cd),
+    ("tak", 122, 0x5e8e4cdcf840e05c, 9033, 0x4b2b0a59c68837e9),
+    ("cpstak", 335, 0x489e883633c32b7a, 13375, 0xb56e09dd04369670),
+    ("takl", 2018, 0xb0c3cac10233379f, 66110, 0x5678e4bb8f396914),
+    ("fibclos", 174, 0x39b4effd10438931, 10142, 0xcf5463cab1520aac),
+    ("cps-append", 1540, 0x0891035b14351f3a, 48510, 0x39a13f51693731e2),
+    ("queens", 608, 0xacb4421457dbc2cb, 22456, 0xcc457ba7bd642c76),
+    ("ascent", 9, 0x4f902b63fd44178a, 6627, 0x60fca3fe8a461f82),
+    ("cps-dispatch", 13, 0x20f6dd81f320e43a, 6698, 0x43bc7ee49ccaadde),
+    ("deep-chain", 103, 0x22dfcfbbb7bb2287, 8718, 0x4d02cac3f8b6d764),
+    ("grow-heap", 19, 0x164d62d3602f4366, 6778, 0xc5e540704aa3ccae),
+    ("mutual", 20, 0xa4708700327c8278, 6830, 0x27536da765e95cae),
     ("omega", 0, 0x0000000000000000, 0, 0x0000000000000000),
-    ("overflow-edge", 5, 0x2e22232470d8c8a6, 6054, 0x97dcfde147747bc9),
-    ("static-spin", 11, 0xfd3b62bb1885bc72, 6159, 0x417799eac813dec5),
-    ("gen-0", 4, 0xab499019c1bcce90, 6111, 0x0b5818cdc596f567),
-    ("gen-1", 7, 0x61435e9599f4db3e, 6161, 0x8b6c8ef5dcb0e20c),
-    ("gen-2", 7, 0x0ff5302b6e53475b, 6254, 0x1acb47b691d95a48),
-    ("gen-3", 4011, 0xe48f114c7e3d9610, 136251, 0xcff10241a13b8c60),
-    ("gen-4", 4, 0x782a4219a505c2ca, 6031, 0x1add9a00fe92cece),
-    ("gen-5", 1354, 0x9020efdc5317cf4b, 48810, 0x8c8a9134ca894f46),
-    ("gen-6", 1516, 0xd2aab8008bbb7e55, 50957, 0xc826ba73dde18d43),
-    ("gen-7", 1809, 0x4fa774eb11775abd, 58495, 0xe87b760f307a5e25),
-    ("gen-8", 3, 0xcba6fc42c91a6889, 5978, 0x0636ed27a4b1d448),
-    ("gen-9", 3, 0xcba6fc42c91a6889, 5978, 0x71e29b4f7625bdad),
-    ("gen-10", 4, 0x782a4219a505c2ca, 6111, 0xa705cac2e5c26cb3),
-    ("gen-11", 3, 0xdd03a2899cda1034, 5996, 0x4f88e0a5df42120d),
-    ("gen-12", 3, 0xcba6fc42c91a6889, 5978, 0x71e29b4f7625bdad),
-    ("gen-13", 3, 0x5ca126f514ff0eeb, 6002, 0x181b5e064ba95fa8),
-    ("gen-14", 6, 0x5d710e9daa6e5d95, 6128, 0x1e9a915967777e03),
-    ("gen-15", 6, 0xbc1902391b69f9bd, 6122, 0x6880d8e8ea8c5d6d),
-    ("gen-16", 10, 0xbf587a04e4a4f318, 6253, 0x86712f7222c2c898),
-    ("gen-17", 3, 0xf663bf89ab0d3ad7, 6036, 0xb1f2c05a7787b4a4),
-    ("gen-18", 5, 0x802375269fc752d1, 6083, 0x72953e6cff7e0dcb),
-    ("gen-19", 4, 0x6b8367a6fd57a4d2, 6098, 0x98b5da5130e127fe),
-    ("gen-20", 63, 0xf305a397c4f82dc1, 7228, 0xf44e7584946d7c89),
-    ("gen-21", 2752, 0x48a8f71f7c3347dc, 93264, 0x82b33976b02dc3dc),
-    ("gen-22", 7, 0x2b10434b9ed63eb5, 6064, 0x0db98e40956d4e84),
-    ("gen-23", 18, 0xaaed02377b8d4688, 6368, 0x228decb5d40212f5),
-    ("gen-24", 14, 0xf096db1d14adf91d, 6457, 0x521a10942753d3b8),
-    ("gen-25", 3, 0xcba6fc42c91a6889, 5978, 0x71e29b4f7625bdad),
-    ("gen-26", 4, 0x4ce197198c837495, 6092, 0xfef9a7cb112d9836),
-    ("gen-27", 4, 0xab499019c1bcce90, 6071, 0xe0d6f01412790195),
-    ("gen-28", 3, 0xcba6fc42c91a6889, 5976, 0xb71c0526a99408f2),
-    ("gen-29", 4, 0x03feea0b5a73f8d4, 6050, 0xfcfc7c6007e432fe),
-    ("gen-30", 5720, 0x6b7d4120b35a7595, 199155, 0x2dbcdf32eb2808ff),
-    ("gen-31", 3, 0xee8cec89a6d82bb6, 5996, 0xfb2aecedef762a44),
-    ("gen-32", 1673, 0x34bb053b18937936, 57822, 0x22084084c2e33dd1),
-    ("gen-33", 3, 0x7a63247945131fed, 5998, 0x0dce4447320642bf),
-    ("gen-34", 3, 0xe5b3ed89a1c7dbfd, 6015, 0xcb9415a3955d9237),
-    ("gen-35", 5, 0x14dfc15c6d3aa92b, 6042, 0x4f3b25eaec18076e),
-    ("gen-36", 679, 0x1bae1be639aa7101, 24557, 0x04abe0f8026966c7),
-    ("gen-37", 6953, 0x91a6858808d4a982, 250384, 0x0f210a024a3c8000),
-    ("gen-38", 6, 0x105b0d717bc816d7, 6058, 0x02dc544d7d1bd61a),
-    ("gen-39", 3, 0x8b3ce14853d05025, 6097, 0x772329f40e323a38),
-    ("gen-40", 4, 0x8d262d14e6755fa7, 6013, 0xa9aa76feef2804ac),
-    ("gen-41", 3, 0xee8cec89a6d82bb6, 5994, 0x416f7cbcc518c1cc),
-    ("gen-42", 3, 0xa83144897eb154be, 5996, 0x7773beb6d3434cbe),
-    ("gen-43", 4, 0x44314c198795a8cc, 6029, 0x7c360f6ee03fa61d),
-    ("gen-44", 335, 0xa7daed0f35d7c743, 14786, 0xad27d88fb69f0ca8),
-    ("gen-45", 7870, 0x39b741e222c20b65, 269221, 0x7ab709ab5fa9de8e),
-    ("gen-46", 492, 0x8f0f0b0752099aa7, 19872, 0x6dfa393ca63a18cd),
-    ("gen-47", 353, 0x3c140a6309e0d6b5, 15610, 0x8dfc7e826a69fe88),
-    ("gen-48", 1963, 0x32a5aa81d36d4134, 70389, 0x1defdce90520a210),
-    ("gen-49", 40, 0xd1e9a42746209178, 7092, 0xa165d394d7611f51),
-    ("gen-50", 23, 0x26380594fc96e91f, 6550, 0x73057c554a03d601),
-    ("gen-51", 4, 0x8d262d14e6755fa7, 6013, 0xcd8c8a92ed6720ee),
-    ("gen-52", 3, 0xff065e89afef5800, 5996, 0x3c065c6a5e44036d),
-    ("gen-53", 15, 0x78ba2a0972d96efd, 6340, 0xa5e2c99f25b3a50b),
-    ("gen-54", 1012, 0x35e6927bccbecda8, 35864, 0xf071437f251c4424),
-    ("gen-55", 1829, 0xc1482ab4499a1018, 65047, 0x856d255a8d203e77),
-    ("gen-56", 3599, 0x000e5f4df7b43290, 117478, 0x281ffc1762a9a574),
-    ("gen-57", 3, 0x9fc4e58979fd33c5, 5994, 0x612dc67b9c89fc57),
-    ("gen-58", 238, 0x0e2330e87c05c972, 13623, 0x5655012a6abc4c77),
-    ("gen-59", 3, 0xf663bf89ab0d3ad7, 6015, 0x48cafe500aeab829),
-    ("gen-60", 4, 0x8d262d14e6755fa7, 6114, 0xdc898a34ed394dcc),
-    ("gen-61", 3, 0xd3877389973f0d9b, 6057, 0x1e7975b5f95396a8),
-    ("gen-62", 4, 0x8c28c4a2b018bbfd, 6098, 0x35d0c18dcc1aeb6e),
-    ("gen-63", 4, 0x1b4c5658128c8d5f, 6032, 0x453d0b0428f3b0b0),
-    ("gen-64", 1537, 0x505ee75c0a707362, 51621, 0x79a12d12e24ebbe9),
-    ("gen-65", 838, 0x14c42163449029d4, 31184, 0x5b702214829ea27d),
-    ("gen-66", 32, 0x5e4ac153aa9b1435, 6746, 0x91dc11e19893f8cf),
-    ("gen-67", 6, 0x0c639bb63c650315, 6068, 0x9e66b023782c1f92),
-    ("gen-68", 4863, 0xeba0614db788eb7b, 179711, 0x9ac1adf8887f432c),
-    ("gen-69", 6, 0x6f7c950ea3672dec, 6111, 0x271d39d015a192c8),
-    ("gen-70", 3, 0xe7ca03ceab10ed2b, 5998, 0xab9b339eb61b23ae),
-    ("gen-71", 8, 0x205eb5c0c7483920, 6089, 0x54a4fc2117037d22),
-    ("gen-72", 27, 0x53acaafd3abc5799, 6807, 0xf2e291727942009e),
-    ("gen-73", 4, 0x6f879319a0238a71, 6090, 0xb11943648c854bdd),
-    ("gen-74", 3, 0xff065e89afef5800, 6036, 0x5c4e7f91ed7f7ec3),
-    ("gen-75", 3, 0x10fc7889ba49f3d2, 5994, 0x89ab42ca759bc160),
-    ("gen-76", 3, 0x1918534ee464ba3a, 6015, 0x68192c70285f16e1),
-    ("gen-77", 4, 0x4c2b953164de1233, 6117, 0x831878be102ea847),
-    ("gen-78", 1509, 0xc9c970c5cfd1ce96, 53538, 0x2f02add021a931c4),
-    ("gen-79", 14, 0x28b32799d8d84f8a, 6353, 0x700f1afe5b734c43),
-    ("gen-80", 2303, 0xd739e5e2b175f089, 83432, 0x19d246ef68677df7),
-    ("gen-81", 7691, 0xa00057bdbbc99328, 256484, 0x7024083d3aad4b28),
-    ("gen-82", 24, 0xf5c34acf35d7be6f, 6513, 0x74a4b8a315e8f5a4),
-    ("gen-83", 12, 0xa981c49122565080, 6355, 0xe3b5fc1bf2fadd92),
-    ("gen-84", 8, 0x4e491bfbcb6e89bd, 6184, 0xc411c634150fe76e),
-    ("gen-85", 4, 0xbb0988507125b049, 6098, 0x4b90e98fab840527),
-    ("gen-86", 8, 0x051e907d3de76024, 6116, 0x1e496926d955c99d),
-    ("gen-87", 6, 0xeaacff781e7d8eb6, 6100, 0x11a6e19bacaa2041),
-    ("gen-88", 4, 0x65286b3120e8144c, 6113, 0x2bd3e44ef6722ae6),
-    ("gen-89", 3, 0xff065e89afef5800, 5996, 0x3c065c6a5e44036d),
-    ("gen-90", 3, 0xbd5fc2de43fe15fd, 5995, 0x8d10c82caf157b45),
-    ("gen-91", 5, 0xb8ec5b8cca86d10c, 6045, 0x5d06f3d785a26cbc),
-    ("gen-92", 8, 0x6e579aa87f36a4aa, 6123, 0xf3405baa34b24560),
-    ("gen-93", 380, 0x5a77f3c5335d2f39, 16131, 0x2696debd69326edd),
-    ("gen-94", 5, 0xac1a0907c75ea37c, 6093, 0x55526841f677f1a8),
-    ("gen-95", 111, 0x871d00e16b629b34, 8716, 0x48147b9673f4f335),
-    ("gen-96", 10, 0x8fbb7ea4b390e9be, 6151, 0xd21a687d3ce4acc7),
-    ("gen-97", 4, 0x03aa58a1c8bc88ec, 6093, 0x0522db8604a72a70),
-    ("gen-98", 7129, 0x1ab5408666530e1e, 269049, 0x8a768953213a58d7),
-    ("gen-99", 74, 0x7a76ffe4171e2761, 7501, 0xcef726a774ebbc8e),
-    ("gen-100", 4, 0x1252942022d6af56, 6051, 0xbf7b6cbdf4cfe08a),
-    ("gen-101", 3, 0xcba6fc42c91a6889, 5978, 0x5d8c192027561e34),
-    ("gen-102", 3, 0x8b3ce14853d05025, 6036, 0x89450155832b3e6b),
-    ("gen-103", 3, 0x4d22bba2bd3e387b, 6016, 0xac78c7e23bc49b6d),
-    ("gen-104", 521, 0x62852c17b08fefc1, 20283, 0xb15743c684828f34),
-    ("gen-105", 10, 0xc143938978691a01, 6228, 0x89abd646fd9a181a),
-    ("gen-106", 4, 0x8d262d14e6755fa7, 6074, 0xafede980ebe492bd),
-    ("gen-107", 21, 0xacac298a95aed476, 6527, 0xfbc4c44c47684e46),
-    ("gen-108", 1596, 0xdfc724833edbab56, 53821, 0xc7e72ffa31d8b58d),
-    ("gen-109", 3, 0x3bbd786a55cd03fa, 5994, 0x6ed92741513475f0),
-    ("gen-110", 1084, 0x405b66e1969238e1, 36760, 0xb94d48b9ecd08294),
-    ("gen-111", 6, 0xb3f3f54f302c9cef, 6143, 0xfaa26940bee1cf5c),
-    ("gen-112", 180, 0x65d930dab5c46b77, 10417, 0xed08006768ebe143),
-    ("gen-113", 3, 0xff065e89afef5800, 5996, 0x58e9c3be96156ae3),
-    ("gen-114", 368, 0x47dec528be0518b9, 15819, 0x0a8892f5b2bed030),
-    ("gen-115", 3, 0xcba6fc42c91a6889, 5978, 0x0636ed27a4b1d448),
-    ("gen-116", 1451, 0x0c35aee807558549, 50385, 0x0da6d476a72d2c23),
-    ("gen-117", 3, 0x0859c989b567bb79, 5996, 0x909a7e7dfb02e76c),
-    ("gen-118", 4, 0x34c2202036487772, 6049, 0x72d4232d51397590),
-    ("gen-119", 4, 0x8d262d14e6755fa7, 6013, 0x4bb096138d8237ee),
-    ("gen-120", 22549, 0xcb2db2b97531ac1f, 880436, 0xb0e3f288bbc4a916),
-    ("gen-121", 7, 0xd93389035b6492d0, 6153, 0x9eab9a3d4da06bd4),
-    ("gen-122", 3, 0x113725081074db52, 6016, 0x7fb72bbca97ebdd4),
-    ("gen-123", 4, 0x54747619907ecb4e, 6092, 0x3ce648452fe65a14),
-    ("gen-124", 4, 0xed415b5cc584379b, 6009, 0x429aa1f7bb94f644),
-    ("gen-125", 4, 0x5d24a919956c6e4f, 6071, 0xe2813c3890c9ec7b),
-    ("gen-126", 4, 0x83b1775f1976d56c, 6029, 0xc7883bba294037c0),
-    ("gen-127", 1931, 0xa4994bb4d3f7cf86, 68086, 0xba60ed55c5d24f6d),
-    ("gen-128", 4, 0x44314c198795a8cc, 6092, 0x58b781a7ac2bb6ad),
-    ("gen-129", 7, 0x33a19566e88061b8, 6096, 0x58ac722df07fd6a4),
-    ("gen-130", 19, 0xb55355f2343397e3, 6343, 0xe512b9989990c557),
-    ("gen-131", 3, 0x8b3ce14853d05025, 6036, 0x89450155832b3e6b),
-    ("gen-132", 20, 0xe3782f971db72fe7, 6747, 0xfaf743fee30da7b0),
-    ("gen-133", 11, 0x6a9eda061c5a8e73, 6258, 0x92d425a8ab22ffa2),
-    ("gen-134", 31, 0xabe28c4c51073744, 7163, 0x0e5bc98d8a0b0eb4),
-    ("gen-135", 4, 0x94ef4c14ea9eb290, 6011, 0x08dbf296ec263238),
-    ("gen-136", 3, 0x3bbd786a55cd03fa, 5994, 0x88f7844d8eb0a692),
-    ("gen-137", 4, 0x86b7e00d8ff94a0c, 6009, 0x98c360840c98180c),
-    ("gen-138", 7, 0xac7753fab060777a, 6141, 0xe0bf7ec67cd43cf6),
-    ("gen-139", 3, 0xcba6fc42c91a6889, 5978, 0x50a15e8d88203623),
-    ("gen-140", 283, 0xf4e88e2993302510, 13356, 0x90dfb32b8dfdaf83),
-    ("gen-141", 4, 0x94ef4c14ea9eb290, 6013, 0x69814ec6809d4e8a),
-    ("gen-142", 3, 0xcba6fc42c91a6889, 5978, 0xfbec71db1c29d436),
-    ("gen-143", 3, 0xff065e89afef5800, 6036, 0x9f94bbb811c80c46),
-    ("gen-144", 6, 0x8d5296ba9b3c7d6e, 6083, 0x55ecf83b054c7784),
-    ("gen-145", 14, 0xe0fd6e3b6f16ecd2, 6286, 0xe994a67a49b1e42f),
-    ("gen-146", 5566, 0x47af3201fe2eff76, 199425, 0xbe4290f91f384e79),
-    ("gen-147", 4, 0x8d262d14e6755fa7, 6072, 0xe008ddcb199bcc8b),
-    ("gen-148", 4, 0x94ef4c14ea9eb290, 6011, 0x1bac74f2cfbf3835),
-    ("gen-149", 7, 0x62f5a9fc1d899175, 6169, 0x479b0844e52a0059),
-    ("gen-150", 1522, 0x56d415cebd7b9303, 53900, 0x0abdb9bfac1c0b07),
-    ("gen-151", 5363, 0x675602b2a719542c, 182690, 0xe7ecee428a38efea),
-    ("gen-152", 1879, 0x0a15cf50ccb8bbcd, 64920, 0x4ce844ebdc673d19),
-    ("gen-153", 4, 0x8d262d14e6755fa7, 6032, 0x12e475f64d10f853),
-    ("gen-154", 18, 0x2ddf7b18b5f2fad8, 6495, 0x3fc270557630e7cc),
-    ("gen-155", 4, 0x83b1775f1976d56c, 6130, 0x0297fad46cbe5921),
-    ("gen-156", 4, 0x8d262d14e6755fa7, 6032, 0xa807d410ea32acbd),
-    ("gen-157", 4, 0xa3807119bd937ba7, 6071, 0x22c00d958ab66a71),
-    ("gen-158", 11, 0xc24076fcd5e4765d, 6192, 0xf47f3351deb74525),
-    ("gen-159", 4, 0x8d262d14e6755fa7, 6013, 0x34a3178d68b20ffb),
-    ("gen-160", 3, 0xcba6fc42c91a6889, 5978, 0x50a15e8d88203623),
-    ("gen-161", 22, 0xc3a2bbd6c26e2427, 6546, 0xf6d51eb5dac28a5c),
-    ("gen-162", 10159, 0x33c585fa427771e1, 363444, 0x3fff07bc779e2a43),
-    ("gen-163", 3300, 0xce071a436a2932fe, 116485, 0x9b7b3812a15967dc),
-    ("gen-164", 4576, 0x7ca4d82229763c23, 160413, 0x09c3ef15573de4a6),
-    ("gen-165", 3, 0xff065e89afef5800, 5996, 0x3696dbe8b9842a89),
-    ("gen-166", 12, 0x37fa4defd4dc5fc0, 6290, 0x8bfa61582848ed43),
-    ("gen-167", 14, 0x37c3ab57b737af4e, 6274, 0x867c042744abdf0f),
-    ("gen-168", 3, 0x0859c989b567bb79, 6015, 0x55b038ac43736822),
-    ("gen-169", 4, 0x54747619907ecb4e, 6031, 0x5918cc9dadfccd86),
-    ("gen-170", 163, 0x38a7d12fb04e16ac, 10096, 0xd06bec858ee86463),
-    ("gen-171", 4, 0x54747619907ecb4e, 6031, 0x4827aa4102a17b73),
-    ("gen-172", 3, 0xcba6fc42c91a6889, 5978, 0x5d8c192027561e34),
-    ("gen-173", 1071, 0x44a0b267a4b997a2, 40333, 0x16e2e0655444188c),
-    ("gen-174", 20, 0x5a4e6699ffc00d47, 6387, 0x430cab65c1c308cc),
-    ("gen-175", 4, 0x66a0e8199b078c18, 6031, 0x1ad8f465dc566bec),
-    ("gen-176", 21, 0x23ea99c6ea91d9f8, 6364, 0x332c3a2d83f59edb),
-    ("gen-177", 8, 0xcfb76b3b247f587a, 6123, 0x3b56e51645bee6e3),
-    ("gen-178", 6, 0x90a0d0e7ff132d4f, 6082, 0x90d9280e69b58192),
-    ("gen-179", 14837, 0x2d4daf5ac342b125, 602782, 0x01cec10b3f1aae45),
-    ("gen-180", 4, 0x6143069381a5a13c, 6070, 0xbb5a8181523cf988),
-    ("gen-181", 3, 0xcba6fc42c91a6889, 5978, 0x66a63122e578edc9),
-    ("gen-182", 205, 0xfe17dd3fcdc297db, 11248, 0xc52552031a1b7be3),
-    ("gen-183", 4, 0x7b905eecc548c322, 6077, 0x8f88332e9cd21f50),
-    ("gen-184", 9, 0x401d71e5fe8be087, 6155, 0x43fc9f14b316dabe),
-    ("gen-185", 10, 0x24a4b8dd138715f3, 6117, 0xa614249d022fd072),
-    ("gen-186", 9040, 0xcd367e0c78aa206f, 336396, 0xd14fc90535b99ac3),
-    ("gen-187", 4, 0x8d262d14e6755fa7, 6013, 0xb8057e4d2a5bb5aa),
-    ("gen-188", 1438, 0xa5d4bfa829b5ad62, 50988, 0x995cb8d974ee88f4),
-    ("gen-189", 9, 0xb9c33fbc95229f05, 6181, 0xab72a97b588077d3),
-    ("gen-190", 8, 0xfa6442af92bd795c, 6248, 0x3a7ededf0e5e883e),
-    ("gen-191", 4, 0x94ef4c14ea9eb290, 6032, 0x4b02bc86c967e1c7),
-    ("gen-192", 1887, 0x3f6c24f1a3efe700, 69033, 0xc80fc756407da358),
-    ("gen-193", 3, 0x10fc7889ba49f3d2, 6057, 0x8b134713c4237a7d),
-    ("gen-194", 4, 0x8d262d14e6755fa7, 6074, 0xced5a97cbfcb5b4a),
-    ("gen-195", 20, 0x1921df8a7c93553d, 6550, 0x68a715f23b3a03e2),
-    ("gen-196", 408, 0xb8632b38030fae2c, 17344, 0x0e15faa19ffa2dc8),
-    ("gen-197", 3, 0xcba6fc42c91a6889, 5978, 0x50a15e8d88203623),
-    ("gen-198", 5, 0x29a62123473385c4, 6129, 0x92d2f70bf622da20),
-    ("gen-199", 3, 0xcba6fc42c91a6889, 5978, 0x50a15e8d88203623),
-    ("gen-200", 4, 0x94ef4c14ea9eb290, 6093, 0xa30f6ec2ee017390),
-    ("gen-201", 4, 0x1e50b5a1d804e2ef, 6051, 0x3f68fc7aaf3b24bb),
-    ("gen-202", 4, 0x86b7e00d8ff94a0c, 6009, 0x3f01ff855acbcdcf),
-    ("gen-203", 8, 0x66901f388839d504, 6123, 0x11d82cf2f79275f4),
-    ("gen-204", 3, 0x776ef9069f137357, 6063, 0xbd19da7fa6c33aba),
-    ("gen-205", 3, 0xe5b3ed89a1c7dbfd, 5996, 0x38dbca4826fb6f34),
-    ("gen-206", 4, 0x54747619907ecb4e, 6029, 0x6ad90cf05c335a02),
-    ("gen-207", 4, 0x4ce197198c837495, 6090, 0xb53686bb39846d8d),
-    ("gen-208", 4, 0x03616ec3c2cfdeea, 6091, 0x32900128b89c1b13),
-    ("gen-209", 3, 0xab3348de3975479b, 6058, 0xb4db48f522789272),
-    ("gen-210", 4, 0x8d262d14e6755fa7, 6013, 0x49140dcb4f13c4f8),
-    ("gen-211", 4, 0x54747619907ecb4e, 6092, 0x6f2d246d12d6f176),
-    ("gen-212", 14, 0x64e06e8c1166afc4, 6326, 0xe097e1e84ec94f35),
-    ("gen-213", 34, 0xd0ab08e41222c271, 6842, 0xf80097d7c8976900),
-    ("gen-214", 3, 0xd3877389973f0d9b, 6036, 0x4774954b5e41c076),
-    ("gen-215", 14, 0x8afcfb06f069c83a, 6277, 0x09329d4f296ca363),
-    ("gen-216", 6, 0xc74d0bb4b593ce73, 6063, 0x8d0e61bf5e2c8c7f),
-    ("gen-217", 5, 0xa6da5530fb6fca6d, 6062, 0x45c8d20940815da9),
-    ("gen-218", 4, 0x94ef4c14ea9eb290, 6013, 0x269a3e8aa2a09a39),
-    ("gen-219", 13688, 0x79c5f6e66c3c99db, 549868, 0x512b331543b4df39),
-    ("gen-220", 8, 0x829ed98361efbbde, 6128, 0xafec04ac635a1620),
-    ("gen-221", 4, 0xf4db3c087153287e, 6046, 0xb769d082440efed3),
-    ("gen-222", 12, 0x58932d9e4b3e80fd, 6217, 0x769b1a6c4571593f),
-    ("gen-223", 990, 0xe87380ab4f5d70f4, 35858, 0xe28ef15fa76b7e52),
-    ("gen-224", 4, 0x89e4147961938919, 6032, 0x243236a5facc07dd),
-    ("gen-225", 219, 0x31958d2c14d92df5, 11523, 0x41694d98f8fa0fdd),
-    ("gen-226", 1951, 0x24295d5083435781, 63242, 0xa7fc3572f8b971c0),
-    ("gen-227", 15326, 0x2284cf2b48e2bead, 579397, 0x79ef27273cbc80ea),
-    ("gen-228", 3, 0xe5b3ed89a1c7dbfd, 5996, 0x41f5e24ae51e3ec9),
-    ("gen-229", 2373, 0x2e2a62c5cf844b59, 77124, 0xa446f03ef020d94b),
-    ("gen-230", 1448, 0xe51c7b11574f4eb1, 50497, 0x00fe12022e432896),
-    ("gen-231", 3, 0x9fc4e58979fd33c5, 5996, 0xa4a49bbabb9bdd61),
-    ("gen-232", 3, 0x9fc4e58979fd33c5, 5996, 0x87451d841e2e9f2c),
-    ("gen-233", 977, 0x906c6e546a749e09, 32753, 0x81711d3a19fc1957),
-    ("gen-234", 3, 0xa83144897eb154be, 5996, 0x5707518963e190d2),
-    ("gen-235", 553, 0x64f68a886f978529, 21593, 0x18e4e84e2668c6e2),
-    ("gen-236", 313, 0xa36d719329edd99c, 14446, 0xf35883b87413807f),
-    ("gen-237", 3, 0x7ed0ec88196f6dbb, 5996, 0x907ba85b4d58800d),
-    ("gen-238", 7, 0x4109e1bcd4476590, 6188, 0x12d4f2d3f3df2119),
-    ("gen-239", 8, 0xf752447d015bd12e, 6177, 0xaf16010df7f31ecf),
-    ("gen-240", 4, 0x66a0e8199b078c18, 6090, 0x2612e4ca6a3a3329),
-    ("gen-241", 3, 0xd3877389973f0d9b, 6057, 0x8c78c1a416c2abc8),
-    ("gen-242", 8, 0xf7562be191eacb46, 6090, 0xdc113799a843dc05),
-    ("gen-243", 3, 0xee8cec89a6d82bb6, 5994, 0x416f7cbcc518c1cc),
-    ("gen-244", 8, 0xf7562be191eacb46, 6090, 0x6e7108c35dd6034f),
-    ("gen-245", 18, 0x54e792189083967a, 6649, 0x04cfdcb2b1586885),
-    ("gen-246", 8, 0x4f38cadb480444e1, 6115, 0xd23912a2f9f76ed5),
-    ("gen-247", 4, 0x6952cb4c9eba4552, 6077, 0x66d94690d410924b),
-    ("gen-248", 4, 0x5a289a499e2a77f2, 6134, 0xca96e4d7d2f8c519),
-    ("gen-249", 3, 0x3bbd786a55cd03fa, 5994, 0x88f7844d8eb0a692),
-    ("gen-250", 4, 0x54747619907ecb4e, 6031, 0xede68b34bf058e80),
-    ("gen-251", 4, 0xa3807119bd937ba7, 6031, 0xe4fcf114a6590d60),
-    ("gen-252", 17, 0xbb1ff6296482e0f8, 6494, 0x9ce931accc2a7cb7),
-    ("gen-253", 5, 0x7d639a823e96e71f, 6036, 0x514f76741323662f),
-    ("gen-254", 6, 0xf356ad21023f7bb5, 6077, 0xb2dfea8aa669829e),
-    ("gen-255", 23, 0x8d4490a2d1cd4283, 6508, 0x2de7abeefc3f55a9),
-    ("gen-256", 3, 0xf663bf89ab0d3ad7, 5994, 0x760bc0f255003f6d),
-    ("gen-257", 149, 0x05f837675583f432, 9671, 0xce6c94f22ac3b161),
-    ("gen-258", 3, 0xe5b3ed89a1c7dbfd, 6015, 0xc9f80b013a4c8531),
-    ("gen-259", 4, 0x8d262d14e6755fa7, 6013, 0xd029950b63fc78a3),
-    ("gen-260", 5786, 0x10c6f1a187ca4091, 193338, 0x6ab63daed138add0),
-    ("gen-261", 5, 0xf788ade322462b29, 6012, 0xdcb3fba47dbd6bc8),
-    ("gen-262", 20, 0xd08ffa6040665726, 6429, 0xeaec2dda6ebd5d4c),
-    ("gen-263", 17, 0xf9f780cb2d8a4a90, 6399, 0xc20e1aa4d0acb6b4),
-    ("gen-264", 17, 0x8cfe8ebca0b54800, 6396, 0x6568319926d94a61),
-    ("gen-265", 1275, 0x1a1975858d4708cc, 43931, 0x78208fbc1d44fccb),
-    ("gen-266", 9, 0x647933949b2b0817, 6115, 0xbce845f96d0b990f),
-    ("gen-267", 3, 0x8b3ce14853d05025, 6036, 0x45f1510ca5997e70),
-    ("gen-268", 2254, 0x8f762886817a3788, 78516, 0x6c605543468f0a00),
-    ("gen-269", 11, 0x030128663da173b2, 6202, 0xa8e572c37df10f7c),
-    ("gen-270", 3, 0xcba6fc42c91a6889, 5978, 0x0636ed27a4b1d448),
-    ("gen-271", 6, 0xae9f6abefce576c2, 6080, 0xd2424db008cf565c),
-    ("gen-272", 9, 0x5a6852c7f7499f08, 6117, 0xa7d306f963bf8c0c),
-    ("gen-273", 3, 0xcba6fc42c91a6889, 6039, 0xfd228074b2fba3ac),
-    ("gen-274", 4, 0x66a0e8199b078c18, 6031, 0x3850ad388474762e),
-    ("gen-275", 3, 0xee8cec89a6d82bb6, 5996, 0x149552f7137281c6),
-    ("gen-276", 5, 0xfa74446fe6933c19, 6036, 0xdd72f582f440ab4d),
-    ("gen-277", 3, 0x43fe83d572679549, 6058, 0x12ab3515509fd0a8),
-    ("gen-278", 5, 0xa0ca314b6c47521b, 6051, 0x411ab6dfbb98b10d),
-    ("gen-279", 3, 0xc638c1de490e65b6, 5995, 0x828f25741c3e648a),
-    ("gen-280", 3, 0x10fc7889ba49f3d2, 5996, 0x36eace052c20d24b),
-    ("gen-281", 5309, 0xbedeae3f87cd4a89, 208606, 0x66d75713831d97eb),
-    ("gen-282", 4, 0x94ef4c14ea9eb290, 6074, 0xb449fa5ec4e50a7e),
-    ("gen-283", 3, 0x3bbd786a55cd03fa, 5994, 0x6ed92741513475f0),
-    ("gen-284", 3, 0xe5b3ed89a1c7dbfd, 6036, 0x40552c2377e86bfa),
-    ("gen-285", 3, 0xe5b3ed89a1c7dbfd, 5996, 0x2bf10fb587c58723),
-    ("gen-286", 5, 0xc12f0af6f4eba05c, 6089, 0x7fa29b85f6883002),
-    ("gen-287", 12, 0x228556e450eb80e3, 6202, 0x55a3c52c750da352),
-    ("gen-288", 14, 0xfd5cd9f5a7bdab44, 6222, 0xda4ff10703623898),
-    ("gen-289", 11, 0x671f6d49a4234fc9, 6261, 0x0471670c7c5502a0),
-    ("gen-290", 3, 0x0859c989b567bb79, 6057, 0xcfff89a49cf0a399),
-    ("gen-291", 3, 0x1918534ee464ba3a, 6015, 0xf8c9a6267cb4e1e0),
-    ("gen-292", 3, 0xff065e89afef5800, 5996, 0x58e9c3be96156ae3),
-    ("gen-293", 3224, 0x4926b161125a9657, 116967, 0x5e2acfd656c05a7e),
-    ("gen-294", 1287, 0x89822d2885d6e24a, 44485, 0x6b08c43a7daa49a3),
-    ("gen-295", 34, 0xc2709ec189b1cd53, 6681, 0xfc4e4c7e69de76e7),
-    ("gen-296", 3, 0x06f2de9c58607523, 5998, 0x86c18d956032ef08),
-    ("gen-297", 4, 0x94ef4c14ea9eb290, 6032, 0xe576f9730a8c4afe),
-    ("gen-298", 3, 0xf663bf89ab0d3ad7, 5996, 0x289e01766d1caf20),
-    ("gen-299", 3, 0xf663bf89ab0d3ad7, 5996, 0x6ea399849ff28b2f),
+    ("overflow-edge", 5, 0x2e22232470d8c8a6, 6565, 0x90414e7447c8cd9a),
+    ("static-spin", 11, 0xfd3b62bb1885bc72, 6670, 0x78057669cc9cd964),
+    ("gen-0", 4, 0xab499019c1bcce90, 6600, 0x9b654ff0e9a62c32),
+    ("gen-1", 7, 0x61435e9599f4db3e, 6640, 0xf715ca771a570f8c),
+    ("gen-2", 7, 0x0ff5302b6e53475b, 6765, 0x131dc9ae5859cc73),
+    ("gen-3", 4011, 0xe48f114c7e3d9610, 126787, 0x2b487d9794476612),
+    ("gen-4", 4, 0x782a4219a505c2ca, 6520, 0xa5209c17ffa076c3),
+    ("gen-5", 1354, 0x9020efdc5317cf4b, 45383, 0x0c068bff68595625),
+    ("gen-6", 1516, 0xd2aab8008bbb7e55, 47288, 0x49b769f4251131a7),
+    ("gen-7", 1809, 0x4fa774eb11775abd, 55772, 0xa369111753e473a2),
+    ("gen-8", 3, 0xcba6fc42c91a6889, 6489, 0x3c096ea097e4d7c7),
+    ("gen-9", 3, 0xcba6fc42c91a6889, 6489, 0x23f05c210ae761ba),
+    ("gen-10", 4, 0x782a4219a505c2ca, 6600, 0x888ff1b08a1e8062),
+    ("gen-11", 3, 0xdd03a2899cda1034, 6485, 0x9c545008a0d31c32),
+    ("gen-12", 3, 0xcba6fc42c91a6889, 6489, 0x23f05c210ae761ba),
+    ("gen-13", 3, 0x5ca126f514ff0eeb, 6513, 0xa344e4bfcded463b),
+    ("gen-14", 6, 0x5d710e9daa6e5d95, 6623, 0x7b73469d34593dc4),
+    ("gen-15", 6, 0xbc1902391b69f9bd, 6617, 0x889e42ce5a61520c),
+    ("gen-16", 10, 0xbf587a04e4a4f318, 6716, 0x624be30b76f29c08),
+    ("gen-17", 3, 0xf663bf89ab0d3ad7, 6525, 0xe69cdee0338d0769),
+    ("gen-18", 5, 0x802375269fc752d1, 6594, 0xafd942d986f25c3a),
+    ("gen-19", 4, 0x6b8367a6fd57a4d2, 6609, 0x6ad2dafb99847da3),
+    ("gen-20", 63, 0xf305a397c4f82dc1, 7587, 0xe5dd7459afab4154),
+    ("gen-21", 2752, 0x48a8f71f7c3347dc, 87500, 0x68b8e977cd22e442),
+    ("gen-22", 7, 0x2b10434b9ed63eb5, 6559, 0xd989b14db2c84feb),
+    ("gen-23", 18, 0xaaed02377b8d4688, 6799, 0xc0a35922b34eb61d),
+    ("gen-24", 14, 0xf096db1d14adf91d, 6936, 0x0e8afbbfdf5fb96e),
+    ("gen-25", 3, 0xcba6fc42c91a6889, 6489, 0x23f05c210ae761ba),
+    ("gen-26", 4, 0x4ce197198c837495, 6581, 0x6ca6167bc96de553),
+    ("gen-27", 4, 0xab499019c1bcce90, 6560, 0xb7a1a6cd783448d4),
+    ("gen-28", 3, 0xcba6fc42c91a6889, 6487, 0x11c82f3304170979),
+    ("gen-29", 4, 0x03feea0b5a73f8d4, 6561, 0x95b571581ffc064d),
+    ("gen-30", 5720, 0x6b7d4120b35a7595, 186710, 0x75ec15158e75d9fb),
+    ("gen-31", 3, 0xee8cec89a6d82bb6, 6485, 0x6997cce98cbf195b),
+    ("gen-32", 1673, 0x34bb053b18937936, 53955, 0xd5fdd39dbdfa06a0),
+    ("gen-33", 3, 0x7a63247945131fed, 6487, 0x0ee9a1c181f32c62),
+    ("gen-34", 3, 0xe5b3ed89a1c7dbfd, 6504, 0xcf85c5a734ac71d4),
+    ("gen-35", 5, 0x14dfc15c6d3aa92b, 6537, 0x70d08908213197d3),
+    ("gen-36", 679, 0x1bae1be639aa7101, 23814, 0x0d22379f4d59afae),
+    ("gen-37", 6953, 0x91a6858808d4a982, 235720, 0x743560127b2c5af1),
+    ("gen-38", 6, 0x105b0d717bc816d7, 6553, 0xdbf7d207d15bca25),
+    ("gen-39", 3, 0x8b3ce14853d05025, 6608, 0x7c604d6a17245efd),
+    ("gen-40", 4, 0x8d262d14e6755fa7, 6524, 0xcaf30bc1954efad9),
+    ("gen-41", 3, 0xee8cec89a6d82bb6, 6483, 0x96680cb23e7fead7),
+    ("gen-42", 3, 0xa83144897eb154be, 6485, 0x9c950b4cccb5ea99),
+    ("gen-43", 4, 0x44314c198795a8cc, 6518, 0x08b3e6db9a743038),
+    ("gen-44", 335, 0xa7daed0f35d7c743, 14527, 0x6a39b794ad4afd4a),
+    ("gen-45", 7870, 0x39b741e222c20b65, 247132, 0x5f6f9988c6467e38),
+    ("gen-46", 492, 0x8f0f0b0752099aa7, 19151, 0x48abb9949d6081fe),
+    ("gen-47", 353, 0x3c140a6309e0d6b5, 15087, 0x672c31de54ce5052),
+    ("gen-48", 1963, 0x32a5aa81d36d4134, 66331, 0x8097c1c50b40bf19),
+    ("gen-49", 40, 0xd1e9a42746209178, 7397, 0x6bc5d1f3255f97ca),
+    ("gen-50", 23, 0x26380594fc96e91f, 7013, 0x382c965cc263ea06),
+    ("gen-51", 4, 0x8d262d14e6755fa7, 6524, 0x7e85c5efdf2c9df3),
+    ("gen-52", 3, 0xff065e89afef5800, 6485, 0xf5b00e4dc05724e2),
+    ("gen-53", 15, 0x78ba2a0972d96efd, 6765, 0xe190d2b414806bc5),
+    ("gen-54", 1012, 0x35e6927bccbecda8, 33757, 0x14d7f1d59f4a9c1e),
+    ("gen-55", 1829, 0xc1482ab4499a1018, 61554, 0x8045a82b8399656b),
+    ("gen-56", 3599, 0x000e5f4df7b43290, 108364, 0xfa4786a099b23be6),
+    ("gen-57", 3, 0x9fc4e58979fd33c5, 6483, 0x360126f2158fe71a),
+    ("gen-58", 238, 0x0e2330e87c05c972, 14002, 0x8a50e02442ebf515),
+    ("gen-59", 3, 0xf663bf89ab0d3ad7, 6504, 0x3cbb80b9c1d6a022),
+    ("gen-60", 4, 0x8d262d14e6755fa7, 6625, 0xe6254a40c2a70057),
+    ("gen-61", 3, 0xd3877389973f0d9b, 6546, 0x2f38a18c46d6f42b),
+    ("gen-62", 4, 0x8c28c4a2b018bbfd, 6609, 0x3fc60efb9a3f0e7b),
+    ("gen-63", 4, 0x1b4c5658128c8d5f, 6521, 0x23573b1d14a0f113),
+    ("gen-64", 1537, 0x505ee75c0a707362, 49470, 0x2dc0d4e25dceca5c),
+    ("gen-65", 838, 0x14c42163449029d4, 28901, 0x10ceca7ee387e2ff),
+    ("gen-66", 32, 0x5e4ac153aa9b1435, 7124, 0x70dad71cccb4e6f4),
+    ("gen-67", 6, 0x0c639bb63c650315, 6547, 0x3d98146ff20bfdce),
+    ("gen-68", 4863, 0xeba0614db788eb7b, 164722, 0x8bb223dddd574717),
+    ("gen-69", 6, 0x6f7c950ea3672dec, 6606, 0x6cbb64fb5256d1da),
+    ("gen-70", 3, 0xe7ca03ceab10ed2b, 6487, 0xbe1947cb2dd69117),
+    ("gen-71", 8, 0x205eb5c0c7483920, 6584, 0x3c58b6c1e5bd7c28),
+    ("gen-72", 27, 0x53acaafd3abc5799, 7128, 0xd666f579b7565f8b),
+    ("gen-73", 4, 0x6f879319a0238a71, 6579, 0x2a73b100da850978),
+    ("gen-74", 3, 0xff065e89afef5800, 6525, 0xd581fe5ce6e48cb8),
+    ("gen-75", 3, 0x10fc7889ba49f3d2, 6483, 0x61688b8dcc3e833b),
+    ("gen-76", 3, 0x1918534ee464ba3a, 6526, 0x210112427debe67c),
+    ("gen-77", 4, 0x4c2b953164de1233, 6628, 0x9f7355e2702fe654),
+    ("gen-78", 1509, 0xc9c970c5cfd1ce96, 50837, 0x187dccd7a74c1ef7),
+    ("gen-79", 14, 0x28b32799d8d84f8a, 6816, 0xe7ff86b9cc450600),
+    ("gen-80", 2303, 0xd739e5e2b175f089, 77706, 0x80f38e5c221b6cbc),
+    ("gen-81", 7691, 0xa00057bdbbc99328, 232645, 0xdb87551b03732e66),
+    ("gen-82", 24, 0xf5c34acf35d7be6f, 6948, 0x927ef684bb8859cf),
+    ("gen-83", 12, 0xa981c49122565080, 6834, 0xee7ac6f0c77f17b8),
+    ("gen-84", 8, 0x4e491bfbcb6e89bd, 6663, 0x0fbb625ed18f2cd4),
+    ("gen-85", 4, 0xbb0988507125b049, 6609, 0x63d381c19624549a),
+    ("gen-86", 8, 0x051e907d3de76024, 6627, 0x97ab582642347f1a),
+    ("gen-87", 6, 0xeaacff781e7d8eb6, 6595, 0xad21309c4f853f0a),
+    ("gen-88", 4, 0x65286b3120e8144c, 6602, 0xd532866ff367300b),
+    ("gen-89", 3, 0xff065e89afef5800, 6485, 0xf5b00e4dc05724e2),
+    ("gen-90", 3, 0xbd5fc2de43fe15fd, 6484, 0xe790ad0353b705b4),
+    ("gen-91", 5, 0xb8ec5b8cca86d10c, 6524, 0x8951831ff6702412),
+    ("gen-92", 8, 0x6e579aa87f36a4aa, 6602, 0xe858eb7ee79e0c9a),
+    ("gen-93", 380, 0x5a77f3c5335d2f39, 16070, 0x9deb4a6fe62a8230),
+    ("gen-94", 5, 0xac1a0907c75ea37c, 6604, 0xc2888d6706411ea9),
+    ("gen-95", 111, 0x871d00e16b629b34, 8961, 0x8c8c5a611af8566b),
+    ("gen-96", 10, 0x8fbb7ea4b390e9be, 6630, 0xe7e31df81c718879),
+    ("gen-97", 4, 0x03aa58a1c8bc88ec, 6604, 0xa44aabc94b640691),
+    ("gen-98", 7129, 0x1ab5408666530e1e, 251135, 0xe7f0ee9ce222e18e),
+    ("gen-99", 74, 0x7a76ffe4171e2761, 7936, 0x803ea299dcb3adb9),
+    ("gen-100", 4, 0x1252942022d6af56, 6540, 0x910b0157f94ec611),
+    ("gen-101", 3, 0xcba6fc42c91a6889, 6489, 0x2f191142d290f973),
+    ("gen-102", 3, 0x8b3ce14853d05025, 6547, 0xec279c33da5e589c),
+    ("gen-103", 3, 0x4d22bba2bd3e387b, 6505, 0xd02883e582371522),
+    ("gen-104", 521, 0x62852c17b08fefc1, 19298, 0x9f634491e9ac59bd),
+    ("gen-105", 10, 0xc143938978691a01, 6691, 0x23c7476ad790c0c2),
+    ("gen-106", 4, 0x8d262d14e6755fa7, 6585, 0x38599c0f9f0f3426),
+    ("gen-107", 21, 0xacac298a95aed476, 6867, 0x5e4c0432a6f3ce24),
+    ("gen-108", 1596, 0xdfc724833edbab56, 51252, 0x2e51143503c7f3ae),
+    ("gen-109", 3, 0x3bbd786a55cd03fa, 6483, 0xfe9f9398b54edcef),
+    ("gen-110", 1084, 0x405b66e1969238e1, 34631, 0x821c0df22fa4ce8a),
+    ("gen-111", 6, 0xb3f3f54f302c9cef, 6654, 0xe853be889058d6c5),
+    ("gen-112", 180, 0x65d930dab5c46b77, 10662, 0x473ece65bbf3566f),
+    ("gen-113", 3, 0xff065e89afef5800, 6485, 0xb85d49a10cf1a74c),
+    ("gen-114", 368, 0x47dec528be0518b9, 15296, 0x713c5a29afba16f1),
+    ("gen-115", 3, 0xcba6fc42c91a6889, 6489, 0x3c096ea097e4d7c7),
+    ("gen-116", 1451, 0x0c35aee807558549, 47728, 0x00619a7dbfe425de),
+    ("gen-117", 3, 0x0859c989b567bb79, 6485, 0xa70af107e1b3f241),
+    ("gen-118", 4, 0x34c2202036487772, 6538, 0x981233a3987ead0f),
+    ("gen-119", 4, 0x8d262d14e6755fa7, 6524, 0x435575f984234577),
+    ("gen-120", 22549, 0xcb2db2b97531ac1f, 826144, 0x14f568aeda41626a),
+    ("gen-121", 7, 0xd93389035b6492d0, 6632, 0x2a1fdd3d13404198),
+    ("gen-122", 3, 0x113725081074db52, 6505, 0xae98bc706be9b749),
+    ("gen-123", 4, 0x54747619907ecb4e, 6581, 0x07bfa911e6df4fd3),
+    ("gen-124", 4, 0xed415b5cc584379b, 6520, 0xe77fab053645fbd5),
+    ("gen-125", 4, 0x5d24a919956c6e4f, 6560, 0x5500735b3513c024),
+    ("gen-126", 4, 0x83b1775f1976d56c, 6518, 0x96e627cc2324cd19),
+    ("gen-127", 1931, 0xa4994bb4d3f7cf86, 63488, 0x8497d898d4a58280),
+    ("gen-128", 4, 0x44314c198795a8cc, 6581, 0x003bc4b45b8f23fe),
+    ("gen-129", 7, 0x33a19566e88061b8, 6591, 0x8bb2265071fb6953),
+    ("gen-130", 19, 0xb55355f2343397e3, 6822, 0x035cec68305dcc3d),
+    ("gen-131", 3, 0x8b3ce14853d05025, 6547, 0xec279c33da5e589c),
+    ("gen-132", 20, 0xe3782f971db72fe7, 7220, 0x32385ad251da2748),
+    ("gen-133", 11, 0x6a9eda061c5a8e73, 6721, 0xc9103f11cb46a1dc),
+    ("gen-134", 31, 0xabe28c4c51073744, 7636, 0x4a3e471b48977c7f),
+    ("gen-135", 4, 0x94ef4c14ea9eb290, 6522, 0x3394a8e6408f61ed),
+    ("gen-136", 3, 0x3bbd786a55cd03fa, 6483, 0x3a75327b9ad8fd25),
+    ("gen-137", 4, 0x86b7e00d8ff94a0c, 6520, 0x4f961e12aa3b9769),
+    ("gen-138", 7, 0xac7753fab060777a, 6604, 0x2005ce8be1bab04a),
+    ("gen-139", 3, 0xcba6fc42c91a6889, 6489, 0xef1e1853ca7deb04),
+    ("gen-140", 283, 0xf4e88e2993302510, 13207, 0xa958b56250df5e8f),
+    ("gen-141", 4, 0x94ef4c14ea9eb290, 6524, 0x3988ededa620d7af),
+    ("gen-142", 3, 0xcba6fc42c91a6889, 6489, 0x7b86571488b35659),
+    ("gen-143", 3, 0xff065e89afef5800, 6525, 0x93ccfb6c84cc99d5),
+    ("gen-144", 6, 0x8d5296ba9b3c7d6e, 6562, 0x1c751cb310fd47a0),
+    ("gen-145", 14, 0xe0fd6e3b6f16ecd2, 6781, 0x03c918ff82280044),
+    ("gen-146", 5566, 0x47af3201fe2eff76, 183911, 0xbfb46381d8f520ec),
+    ("gen-147", 4, 0x8d262d14e6755fa7, 6583, 0x9f2eefc58199d494),
+    ("gen-148", 4, 0x94ef4c14ea9eb290, 6522, 0xd7c446fadbd180f0),
+    ("gen-149", 7, 0x62f5a9fc1d899175, 6648, 0xd6ecfb2b974ecd45),
+    ("gen-150", 1522, 0x56d415cebd7b9303, 50627, 0x39b9a3190d3fbca5),
+    ("gen-151", 5363, 0x675602b2a719542c, 170476, 0xdf69495162f9854c),
+    ("gen-152", 1879, 0x0a15cf50ccb8bbcd, 59905, 0xdd97f604ebbf42a5),
+    ("gen-153", 4, 0x8d262d14e6755fa7, 6543, 0x3c7acd125f375f88),
+    ("gen-154", 18, 0x2ddf7b18b5f2fad8, 6942, 0x8ff611faec1e30cf),
+    ("gen-155", 4, 0x83b1775f1976d56c, 6619, 0x1b93ca6114b370ae),
+    ("gen-156", 4, 0x8d262d14e6755fa7, 6543, 0x8cee96fe1ef38fee),
+    ("gen-157", 4, 0xa3807119bd937ba7, 6560, 0x52650151aef0e57a),
+    ("gen-158", 11, 0xc24076fcd5e4765d, 6671, 0xd0ff23899f47ae21),
+    ("gen-159", 4, 0x8d262d14e6755fa7, 6524, 0x842372a1b340260a),
+    ("gen-160", 3, 0xcba6fc42c91a6889, 6489, 0xef1e1853ca7deb04),
+    ("gen-161", 22, 0xc3a2bbd6c26e2427, 7009, 0xe2496a7095a8ccc9),
+    ("gen-162", 10159, 0x33c585fa427771e1, 342649, 0x2a0da18881f6ace5),
+    ("gen-163", 3300, 0xce071a436a2932fe, 106496, 0x0f2db12292d47b81),
+    ("gen-164", 4576, 0x7ca4d82229763c23, 146624, 0xd7b6b284d8d036f5),
+    ("gen-165", 3, 0xff065e89afef5800, 6485, 0xb9d8c1689c65e98e),
+    ("gen-166", 12, 0x37fa4defd4dc5fc0, 6785, 0xc90732ae0afce9aa),
+    ("gen-167", 14, 0x37c3ab57b737af4e, 6721, 0x09f28f3c198b36fa),
+    ("gen-168", 3, 0x0859c989b567bb79, 6504, 0x28e647c91445551d),
+    ("gen-169", 4, 0x54747619907ecb4e, 6520, 0xa24900aa42284d9f),
+    ("gen-170", 163, 0x38a7d12fb04e16ac, 10227, 0x5c5af328f82c9676),
+    ("gen-171", 4, 0x54747619907ecb4e, 6520, 0x4a67112742ae42b2),
+    ("gen-172", 3, 0xcba6fc42c91a6889, 6489, 0x2f191142d290f973),
+    ("gen-173", 1071, 0x44a0b267a4b997a2, 38688, 0x926f9c82469fc5fc),
+    ("gen-174", 20, 0x5a4e6699ffc00d47, 6793, 0xcb1484fde81b33bd),
+    ("gen-175", 4, 0x66a0e8199b078c18, 6520, 0x0d5e23526d9aef35),
+    ("gen-176", 21, 0x23ea99c6ea91d9f8, 6805, 0xdd808419ff3cdf8c),
+    ("gen-177", 8, 0xcfb76b3b247f587a, 6602, 0xc1950500850ef421),
+    ("gen-178", 6, 0x90a0d0e7ff132d4f, 6561, 0xc484222aef43e3a8),
+    ("gen-179", 14837, 0x2d4daf5ac342b125, 569118, 0xe09d15355071d871),
+    ("gen-180", 4, 0x6143069381a5a13c, 6559, 0x82466c7cffc95eb1),
+    ("gen-181", 3, 0xcba6fc42c91a6889, 6489, 0x400a339f7dec4b86),
+    ("gen-182", 205, 0xfe17dd3fcdc297db, 11127, 0x7f686344b2d3b220),
+    ("gen-183", 4, 0x7b905eecc548c322, 6588, 0x6a2f9dc9b4cda7e3),
+    ("gen-184", 9, 0x401d71e5fe8be087, 6634, 0xaf7b9e2f0c135fbe),
+    ("gen-185", 10, 0x24a4b8dd138715f3, 6612, 0x17c07c55dc7bd36b),
+    ("gen-186", 9040, 0xcd367e0c78aa206f, 309232, 0x5c9804680668d1e3),
+    ("gen-187", 4, 0x8d262d14e6755fa7, 6524, 0x8b156bc4c2cca367),
+    ("gen-188", 1438, 0xa5d4bfa829b5ad62, 47979, 0x9059c556d77e32b3),
+    ("gen-189", 9, 0xb9c33fbc95229f05, 6660, 0x2b37724282891c07),
+    ("gen-190", 8, 0xfa6442af92bd795c, 6743, 0x0a29e65feef47a0b),
+    ("gen-191", 4, 0x94ef4c14ea9eb290, 6543, 0x7ea1c446fc2517bc),
+    ("gen-192", 1887, 0x3f6c24f1a3efe700, 65187, 0x17235f3ff22b8e5d),
+    ("gen-193", 3, 0x10fc7889ba49f3d2, 6546, 0x5e3a02d7d6ebc868),
+    ("gen-194", 4, 0x8d262d14e6755fa7, 6585, 0x4b71cbc1d93760a5),
+    ("gen-195", 20, 0x1921df8a7c93553d, 6962, 0xb5915d2180a6b4ed),
+    ("gen-196", 408, 0xb8632b38030fae2c, 17195, 0x405b28c5e0ff0a70),
+    ("gen-197", 3, 0xcba6fc42c91a6889, 6489, 0xef1e1853ca7deb04),
+    ("gen-198", 5, 0x29a62123473385c4, 6640, 0x8b50c47b9f5d3361),
+    ("gen-199", 3, 0xcba6fc42c91a6889, 6489, 0xef1e1853ca7deb04),
+    ("gen-200", 4, 0x94ef4c14ea9eb290, 6604, 0xbbbf71252e1f2381),
+    ("gen-201", 4, 0x1e50b5a1d804e2ef, 6562, 0x737a4013e7629f0a),
+    ("gen-202", 4, 0x86b7e00d8ff94a0c, 6520, 0xa05a13536daf350a),
+    ("gen-203", 8, 0x66901f388839d504, 6602, 0x5a27f82134a4c952),
+    ("gen-204", 3, 0x776ef9069f137357, 6574, 0x8d37328c3ca324e1),
+    ("gen-205", 3, 0xe5b3ed89a1c7dbfd, 6485, 0xa22a45e9af3527b9),
+    ("gen-206", 4, 0x54747619907ecb4e, 6518, 0x1cbe6c5119fc4983),
+    ("gen-207", 4, 0x4ce197198c837495, 6579, 0xf836a8916564d168),
+    ("gen-208", 4, 0x03616ec3c2cfdeea, 6580, 0x354403887efdbfb0),
+    ("gen-209", 3, 0xab3348de3975479b, 6547, 0xa850e8490b609309),
+    ("gen-210", 4, 0x8d262d14e6755fa7, 6524, 0x17834bed6a0585b1),
+    ("gen-211", 4, 0x54747619907ecb4e, 6581, 0x6d94564d6255f84d),
+    ("gen-212", 14, 0x64e06e8c1166afc4, 6837, 0x203ffef8a7fed2ba),
+    ("gen-213", 34, 0xd0ab08e41222c271, 7233, 0xd019e990c9f70386),
+    ("gen-214", 3, 0xd3877389973f0d9b, 6525, 0xd9a14a5c434c4463),
+    ("gen-215", 14, 0x8afcfb06f069c83a, 6724, 0x00bcc974b2e0e2b6),
+    ("gen-216", 6, 0xc74d0bb4b593ce73, 6574, 0x6161c3be2966b51e),
+    ("gen-217", 5, 0xa6da5530fb6fca6d, 6573, 0x34dbdf5f30d5b6be),
+    ("gen-218", 4, 0x94ef4c14ea9eb290, 6524, 0xfd42f2affa4274d8),
+    ("gen-219", 13688, 0x79c5f6e66c3c99db, 512029, 0xfe0efc2575f6b4ce),
+    ("gen-220", 8, 0x829ed98361efbbde, 6623, 0xe43213ebb29f81d2),
+    ("gen-221", 4, 0xf4db3c087153287e, 6557, 0x3f41862f48a00a32),
+    ("gen-222", 12, 0x58932d9e4b3e80fd, 6680, 0x3d08f15dbafe927d),
+    ("gen-223", 990, 0xe87380ab4f5d70f4, 33201, 0x0369f26d27143c8d),
+    ("gen-224", 4, 0x89e4147961938919, 6521, 0xd4c17f1846e4456e),
+    ("gen-225", 219, 0x31958d2c14d92df5, 11458, 0x289b6ab17c3d065d),
+    ("gen-226", 1951, 0x24295d5083435781, 59912, 0xf6494ffb4c3678dd),
+    ("gen-227", 15326, 0x2284cf2b48e2bead, 540658, 0xd18d016862929900),
+    ("gen-228", 3, 0xe5b3ed89a1c7dbfd, 6485, 0x26a159d5c114abe4),
+    ("gen-229", 2373, 0x2e2a62c5cf844b59, 70903, 0x17165da75bb39147),
+    ("gen-230", 1448, 0xe51c7b11574f4eb1, 47840, 0x336b9622f90876d3),
+    ("gen-231", 3, 0x9fc4e58979fd33c5, 6485, 0xf34c305736089a1c),
+    ("gen-232", 3, 0x9fc4e58979fd33c5, 6485, 0x682571533b490d91),
+    ("gen-233", 977, 0x906c6e546a749e09, 31548, 0xc0e226c5f74a66a5),
+    ("gen-234", 3, 0xa83144897eb154be, 6485, 0x5b5ef8001823313d),
+    ("gen-235", 553, 0x64f68a886f978529, 19948, 0xbaf80ae9149c5341),
+    ("gen-236", 313, 0xa36d719329edd99c, 14209, 0xaf653abb42469f95),
+    ("gen-237", 3, 0x7ed0ec88196f6dbb, 6485, 0xe615f44c2fbad57c),
+    ("gen-238", 7, 0x4109e1bcd4476590, 6699, 0x187ce4d16bfcf64e),
+    ("gen-239", 8, 0xf752447d015bd12e, 6656, 0x36dc75197abb0dfb),
+    ("gen-240", 4, 0x66a0e8199b078c18, 6579, 0xa8635019d9d62fca),
+    ("gen-241", 3, 0xd3877389973f0d9b, 6546, 0x929269006e83f2ab),
+    ("gen-242", 8, 0xf7562be191eacb46, 6585, 0xcd7430139114bbe1),
+    ("gen-243", 3, 0xee8cec89a6d82bb6, 6483, 0x96680cb23e7fead7),
+    ("gen-244", 8, 0xf7562be191eacb46, 6585, 0x0adb6cf98259455b),
+    ("gen-245", 18, 0x54e792189083967a, 7122, 0x5b9c84ad8ae3ff01),
+    ("gen-246", 8, 0x4f38cadb480444e1, 6594, 0xc950dddd8c845ead),
+    ("gen-247", 4, 0x6952cb4c9eba4552, 6588, 0x9ed972b006544420),
+    ("gen-248", 4, 0x5a289a499e2a77f2, 6623, 0xffdb3650fa631a4e),
+    ("gen-249", 3, 0x3bbd786a55cd03fa, 6483, 0x3a75327b9ad8fd25),
+    ("gen-250", 4, 0x54747619907ecb4e, 6520, 0x32ac4fab5bee1065),
+    ("gen-251", 4, 0xa3807119bd937ba7, 6520, 0x55cbe15bb6a42a4f),
+    ("gen-252", 17, 0xbb1ff6296482e0f8, 6989, 0x211f6cc11e2ad36e),
+    ("gen-253", 5, 0x7d639a823e96e71f, 6531, 0x390a42815364e42d),
+    ("gen-254", 6, 0xf356ad21023f7bb5, 6572, 0xb1055ab658a23eb9),
+    ("gen-255", 23, 0x8d4490a2d1cd4283, 6933, 0x8b598c8dc9cea3f7),
+    ("gen-256", 3, 0xf663bf89ab0d3ad7, 6483, 0xd475a8364490e784),
+    ("gen-257", 149, 0x05f837675583f432, 9935, 0x43392e56a59bccd0),
+    ("gen-258", 3, 0xe5b3ed89a1c7dbfd, 6504, 0x8b0018697bc93f06),
+    ("gen-259", 4, 0x8d262d14e6755fa7, 6524, 0x4e40b6c5866f08a6),
+    ("gen-260", 5786, 0x10c6f1a187ca4091, 178699, 0x418777b76100b221),
+    ("gen-261", 5, 0xf788ade322462b29, 6523, 0xf01b31b51ff5f703),
+    ("gen-262", 20, 0xd08ffa6040665726, 6876, 0x0470ff29b64418ff),
+    ("gen-263", 17, 0xf9f780cb2d8a4a90, 6894, 0xc55c12f49de519fd),
+    ("gen-264", 17, 0x8cfe8ebca0b54800, 6891, 0xd64a8f52a824a7ea),
+    ("gen-265", 1275, 0x1a1975858d4708cc, 41516, 0xb123cbedb00baaab),
+    ("gen-266", 9, 0x647933949b2b0817, 6594, 0x8ee57ab84be4481f),
+    ("gen-267", 3, 0x8b3ce14853d05025, 6547, 0x594a9760007a579f),
+    ("gen-268", 2254, 0x8f762886817a3788, 73213, 0xdc7e3beb4d49f79c),
+    ("gen-269", 11, 0x030128663da173b2, 6681, 0xcd85e3486e9ca038),
+    ("gen-270", 3, 0xcba6fc42c91a6889, 6489, 0x3c096ea097e4d7c7),
+    ("gen-271", 6, 0xae9f6abefce576c2, 6559, 0x763631cf8f60e076),
+    ("gen-272", 9, 0x5a6852c7f7499f08, 6596, 0xea8888297dd8a5de),
+    ("gen-273", 3, 0xcba6fc42c91a6889, 6550, 0x72fc19a64c903149),
+    ("gen-274", 4, 0x66a0e8199b078c18, 6520, 0xd239731b7bad0d3b),
+    ("gen-275", 3, 0xee8cec89a6d82bb6, 6485, 0x2c3090039b7a8fe1),
+    ("gen-276", 5, 0xfa74446fe6933c19, 6531, 0xc0df2004e82b8ef1),
+    ("gen-277", 3, 0x43fe83d572679549, 6547, 0xe9fb5b105b0ae47b),
+    ("gen-278", 5, 0xa0ca314b6c47521b, 6546, 0x76c3b075fdaec72e),
+    ("gen-279", 3, 0xc638c1de490e65b6, 6484, 0xf29447255d5d6931),
+    ("gen-280", 3, 0x10fc7889ba49f3d2, 6485, 0xa4bfa052b8bd41f4),
+    ("gen-281", 5309, 0xbedeae3f87cd4a89, 192692, 0xd09e9370a1f82572),
+    ("gen-282", 4, 0x94ef4c14ea9eb290, 6585, 0xf60529ff553b8c85),
+    ("gen-283", 3, 0x3bbd786a55cd03fa, 6483, 0xfe9f9398b54edcef),
+    ("gen-284", 3, 0xe5b3ed89a1c7dbfd, 6525, 0x97eb164e3d3cf80b),
+    ("gen-285", 3, 0xe5b3ed89a1c7dbfd, 6485, 0x6f5b7f2a05f944e6),
+    ("gen-286", 5, 0xc12f0af6f4eba05c, 6584, 0x5914c6aca08ac951),
+    ("gen-287", 12, 0x228556e450eb80e3, 6681, 0xab1cdd7b337262d2),
+    ("gen-288", 14, 0xfd5cd9f5a7bdab44, 6701, 0xbcaed4cf71bfca2c),
+    ("gen-289", 11, 0x671f6d49a4234fc9, 6740, 0xa97e6a74c14e5c1c),
+    ("gen-290", 3, 0x0859c989b567bb79, 6546, 0x0e808ca64169c082),
+    ("gen-291", 3, 0x1918534ee464ba3a, 6526, 0x1950752017c98af5),
+    ("gen-292", 3, 0xff065e89afef5800, 6485, 0xb85d49a10cf1a74c),
+    ("gen-293", 3224, 0x4926b161125a9657, 106528, 0xc700b3c95ed8fbdf),
+    ("gen-294", 1287, 0x89822d2885d6e24a, 41190, 0xf3fe7843d86403d5),
+    ("gen-295", 34, 0xc2709ec189b1cd53, 7112, 0xceee0b6c9fdb3a17),
+    ("gen-296", 3, 0x06f2de9c58607523, 6509, 0x0821d3d51235d377),
+    ("gen-297", 4, 0x94ef4c14ea9eb290, 6543, 0x4d40b0689c3d5d4d),
+    ("gen-298", 3, 0xf663bf89ab0d3ad7, 6485, 0x5f328ccaae045e31),
+    ("gen-299", 3, 0xf663bf89ab0d3ad7, 6485, 0x2202cc9b8dac2bbe),
 ];

@@ -15,6 +15,12 @@
 //! * with static entry arguments, **program specialization** — the first
 //!   specializer projection (`append-$1` in the paper's §1 example).
 //!
+//! Compiling is specializing with every entry parameter dynamic, so one
+//! compile body (cfa → sct → specialize → post/flow) serves [`compile`],
+//! [`specialize`], [`compile_audited_with`] and
+//! [`compile_warm_audited_with`]; the engine, [`Spec`], ends in
+//! [`Spec::compile`], [`Spec::run`] or [`Spec::run_snapshot`].
+//!
 //! ```
 //! use pe_core::{compile, CompileOptions};
 //! use pe_frontend::{desugar, parse_source};
@@ -84,27 +90,33 @@ pub fn compile(
     entry: &str,
     opts: &CompileOptions,
 ) -> Result<S0Program, SpecError> {
-    compile_with(dp, entry, opts, &mut pe_trace::NullSink)
+    compile_audited_with(dp, entry, opts, &mut pe_trace::NullSink).map(|(p, _)| p)
 }
 
-/// Like [`compile`], emitting cfa/specialize/post phase spans, the
-/// specializer's event counters, and residual size counters to `sink`.
+/// Specializes `entry` with respect to the static argument slots — the
+/// first specializer projection.  `slots[i] = Some(v)` fixes parameter
+/// `i` to `v`; `None` leaves it a parameter of the residual `entry-$1`.
 ///
 /// # Errors
 ///
 /// See [`SpecError`].
-pub fn compile_with(
+pub fn specialize(
     dp: &DProgram,
     entry: &str,
+    slots: &[Option<Datum>],
     opts: &CompileOptions,
-    sink: &mut dyn Sink,
 ) -> Result<S0Program, SpecError> {
-    compile_audited_with(dp, entry, opts, sink).map(|(p, _)| p)
+    drive(dp, entry, opts, &mut pe_trace::NullSink, |spec, sink| {
+        spec.run(entry, Some(slots), sink)
+    })
+    .map(|(p, _)| p)
 }
 
-/// Like [`compile_with`], additionally returning the [`CompileAudit`]:
-/// the SCT verdict tables plus the specializer's control log, ready for
-/// pass 7 of `pe-verify`.
+/// Like [`compile`], emitting cfa/sct/specialize/post/flow phase spans,
+/// the specializer's event counters, and residual size counters to
+/// `sink`, and additionally returning the [`CompileAudit`]: the SCT
+/// verdict tables plus the specializer's control log, ready for pass 7
+/// of `pe-verify`.
 ///
 /// # Errors
 ///
@@ -117,21 +129,7 @@ pub fn compile_audited_with(
     opts: &CompileOptions,
     sink: &mut dyn Sink,
 ) -> Result<(S0Program, CompileAudit), SpecError> {
-    let t = pe_trace::begin(sink, Phase::Cfa);
-    let flow = FlowAnalysis::analyze(dp);
-    let gen = GenAnalysis::analyze(dp, &flow);
-    pe_trace::end(sink, t);
-    let sct = run_sct(dp, &flow, entry, opts, sink)?;
-    let t = pe_trace::begin(sink, Phase::Specialize);
-    let mut spec = Spec::new(dp, &flow, &gen, opts.clone());
-    if let Some(a) = &sct {
-        spec = spec.with_sct(a.verdicts.clone());
-    }
-    let r = spec.compile_audited_with(entry, sink);
-    pe_trace::end(sink, t);
-    let (p, events) = r?;
-    let p = finish_traced(p, opts, sink)?;
-    Ok((p, assemble_audit(sct, events)))
+    drive(dp, entry, opts, sink, |spec, sink| spec.run(entry, None, sink))
 }
 
 /// Like [`compile_audited_with`], warm-starting the specializer from a
@@ -165,73 +163,33 @@ pub fn compile_warm_audited_with(
     warm: Option<&MemoSnapshot>,
     sink: &mut dyn Sink,
 ) -> Result<(S0Program, CompileAudit, MemoSnapshot), SpecError> {
-    let t = pe_trace::begin(sink, Phase::Cfa);
-    let flow = FlowAnalysis::analyze(dp);
-    let gen = GenAnalysis::analyze(dp, &flow);
-    pe_trace::end(sink, t);
-    let sct = run_sct(dp, &flow, entry, opts, sink)?;
-    let t = pe_trace::begin(sink, Phase::Specialize);
-    let mut spec = Spec::new(dp, &flow, &gen, opts.clone());
-    if let Some(a) = &sct {
-        spec = spec.with_sct(a.verdicts.clone());
-    }
-    if let Some(snap) = warm {
-        spec = spec.with_snapshot(snap);
-        if sink.enabled() {
-            sink.counter(Counter::WarmStarts, 1);
+    let mut snapshot = None;
+    let (p, audit) = drive(dp, entry, opts, sink, |mut spec, sink| {
+        if let Some(snap) = warm {
+            spec = spec.with_snapshot(snap);
+            if sink.enabled() {
+                sink.counter(Counter::WarmStarts, 1);
+            }
         }
-    }
-    let r = spec.compile_snapshot_with(entry, sink);
-    pe_trace::end(sink, t);
-    let (p, events, snap) = r?;
-    let p = finish_traced(p, opts, sink)?;
-    Ok((p, assemble_audit(sct, events), snap))
+        let (p, events, snap) = spec.run_snapshot(entry, sink)?;
+        snapshot = Some(snap);
+        Ok((p, events))
+    })?;
+    // `drive` succeeds only after `run_snapshot` did, so this is `Some`.
+    Ok((p, audit, snapshot.unwrap_or_default()))
 }
 
-/// Specializes `entry` with respect to the static argument slots — the
-/// first specializer projection.  `slots[i] = Some(v)` fixes parameter
-/// `i` to `v`; `None` leaves it a parameter of the residual `entry-$1`.
-///
-/// # Errors
-///
-/// See [`SpecError`].
-pub fn specialize(
+/// The one compile body every entry point shares: control-flow analysis
+/// under a `cfa` span, the termination analysis under `sct`, the
+/// specializer (`run`, given the engine with the SCT verdicts
+/// installed) under `specialize`, then post-processing and the flow
+/// optimizer.
+fn drive(
     dp: &DProgram,
     entry: &str,
-    slots: &[Option<Datum>],
-    opts: &CompileOptions,
-) -> Result<S0Program, SpecError> {
-    specialize_with(dp, entry, slots, opts, &mut pe_trace::NullSink)
-}
-
-/// Like [`specialize`], emitting phase spans and event counters to
-/// `sink`.
-///
-/// # Errors
-///
-/// See [`SpecError`].
-pub fn specialize_with(
-    dp: &DProgram,
-    entry: &str,
-    slots: &[Option<Datum>],
     opts: &CompileOptions,
     sink: &mut dyn Sink,
-) -> Result<S0Program, SpecError> {
-    specialize_audited_with(dp, entry, slots, opts, sink).map(|(p, _)| p)
-}
-
-/// Like [`specialize_with`], additionally returning the
-/// [`CompileAudit`] (see [`compile_audited_with`]).
-///
-/// # Errors
-///
-/// See [`SpecError`].
-pub fn specialize_audited_with(
-    dp: &DProgram,
-    entry: &str,
-    slots: &[Option<Datum>],
-    opts: &CompileOptions,
-    sink: &mut dyn Sink,
+    run: impl FnOnce(Spec<'_>, &mut dyn Sink) -> Result<(S0Program, Vec<ControlEvent>), SpecError>,
 ) -> Result<(S0Program, CompileAudit), SpecError> {
     let t = pe_trace::begin(sink, Phase::Cfa);
     let flow = FlowAnalysis::analyze(dp);
@@ -243,11 +201,14 @@ pub fn specialize_audited_with(
     if let Some(a) = &sct {
         spec = spec.with_sct(a.verdicts.clone());
     }
-    let r = spec.specialize_audited_with(entry, slots, sink);
+    let r = run(spec, sink);
     pe_trace::end(sink, t);
     let (p, events) = r?;
-    let p = finish_traced(p, opts, sink)?;
-    Ok((p, assemble_audit(sct, events)))
+    let audit = match sct {
+        Some(a) => CompileAudit { enabled: true, verdicts: a.verdicts, stats: a.stats, events },
+        None => CompileAudit { events, ..CompileAudit::default() },
+    };
+    Ok((finish_traced(p, opts, sink), audit))
 }
 
 /// Runs pe-sct under its own phase span, reports its counters, and
@@ -287,21 +248,10 @@ fn run_sct(
     Ok(Some(a))
 }
 
-fn assemble_audit(sct: Option<pe_sct::SctAnalysis>, events: Vec<ControlEvent>) -> CompileAudit {
-    match sct {
-        Some(a) => CompileAudit { enabled: true, verdicts: a.verdicts, stats: a.stats, events },
-        None => CompileAudit { events, ..CompileAudit::default() },
-    }
-}
-
 /// Post-processes under a `post` span, runs the flow optimizer under a
 /// `flow` span, attributes each span's time over the residual
 /// procedures, and reports residual size plus the flow counters.
-fn finish_traced(
-    p: S0Program,
-    opts: &CompileOptions,
-    sink: &mut dyn Sink,
-) -> Result<S0Program, SpecError> {
+fn finish_traced(p: S0Program, opts: &CompileOptions, sink: &mut dyn Sink) -> S0Program {
     let p = if opts.postprocess {
         let t = pe_trace::begin(sink, Phase::Post);
         let q = pe_flow::postprocess(p);
@@ -340,7 +290,7 @@ fn finish_traced(
         sink.counter(Counter::ResidualProcs, p.procs.len() as u64);
         sink.counter(Counter::ResidualNodes, p.size() as u64);
     }
-    Ok(p)
+    p
 }
 
 #[cfg(test)]
@@ -697,7 +647,7 @@ mod tests {
     fn post_and_flow_attribution_covers_exactly_their_spans() -> R {
         let d = desugar(&parse_source(CPS_APPEND)?)?;
         let mut sink = pe_trace::CollectingSink::new();
-        compile_with(&d, "append", &CompileOptions::default(), &mut sink)?;
+        compile_audited_with(&d, "append", &CompileOptions::default(), &mut sink)?;
         for phase in [Phase::Post, Phase::Flow] {
             assert!(sink.phase_ns(phase) > 0, "{phase:?}");
             assert_eq!(sink.attr_ns(phase), sink.phase_ns(phase), "{phase:?}");

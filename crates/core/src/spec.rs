@@ -215,7 +215,7 @@ struct PendingProc<'p> {
 }
 
 /// A restorable image of the specializer's memo state, captured after a
-/// successful compile with [`Spec::compile_snapshot_with`] and restored
+/// successful compile with [`Spec::run_snapshot`] and restored
 /// into a fresh engine with [`Spec::with_snapshot`].
 ///
 /// The snapshot turns the memo table from a per-compile scratchpad into
@@ -303,7 +303,8 @@ pub struct SpecCounters {
 }
 
 impl SpecCounters {
-    /// Emits every non-zero total to `sink`.
+    /// Emits all nine totals to `sink`, zeros included, so every run's
+    /// counter stream has the same shape.
     pub fn flush(&self, sink: &mut dyn pe_trace::Sink) {
         if !sink.enabled() {
             return;
@@ -387,7 +388,7 @@ pub struct Spec<'p> {
     events: Vec<ControlEvent>,
     /// Per-residual-procedure cost rows `(name, ns, nodes)`, recorded
     /// as each procedure's body is produced and flushed as
-    /// `Event::Attr` rows by the audited entry points.  Two clock
+    /// `Event::Attr` rows at the end of the run.  Two clock
     /// reads per residual procedure — noise next to specializing one.
     attrs: Vec<(String, u64, u64)>,
 }
@@ -463,62 +464,48 @@ impl<'p> Spec<'p> {
     ///
     /// See [`SpecError`].
     pub fn compile(self, entry: &str) -> Result<S0Program, SpecError> {
-        self.compile_with(entry, &mut pe_trace::NullSink)
+        self.run(entry, None, &mut pe_trace::NullSink).map(|(p, _)| p)
     }
 
-    /// Like [`Spec::compile`], flushing the run's [`SpecCounters`] to
-    /// `sink` — on success *and* on budget errors, where the totals
-    /// explain what blew up.
+    /// Specializes `entry`, returning the residual program and the
+    /// control log that pass 7 of `pe-verify` audits against the SCT
+    /// verdicts.  `slots = None` compiles (every parameter dynamic, the
+    /// residual entry keeps the name `entry`); `Some(slots)` is the first
+    /// specializer projection: `slots[i] = Some(v)` makes parameter `i`
+    /// static with value `v`, `None` keeps it a parameter of the
+    /// residual entry `entry-$1`.  The run's [`SpecCounters`] and
+    /// per-procedure cost rows go to `sink` on success *and* on errors,
+    /// where the totals explain what blew up.
     ///
     /// # Errors
     ///
     /// See [`SpecError`].
-    pub fn compile_with(
-        self,
-        entry: &str,
-        sink: &mut dyn pe_trace::Sink,
-    ) -> Result<S0Program, SpecError> {
-        self.compile_audited_with(entry, sink).map(|(p, _)| p)
-    }
-
-    /// Like [`Spec::compile_with`], additionally returning the control
-    /// log — the per-point record of widenings and eager
-    /// generalizations that pass 7 of `pe-verify` audits against the
-    /// SCT verdicts.
-    ///
-    /// # Errors
-    ///
-    /// See [`SpecError`].
-    pub fn compile_audited_with(
+    pub fn run(
         mut self,
         entry: &str,
+        slots: Option<&[Option<Datum>]>,
         sink: &mut dyn pe_trace::Sink,
     ) -> Result<(S0Program, Vec<ControlEvent>), SpecError> {
-        let r = self.compile_inner(entry);
-        self.counters.flush(sink);
-        self.flush_attrs(sink);
-        r.map(|p| (p, self.events))
+        let p = self.specialize_entry(entry, slots, sink)?;
+        Ok((p, self.events))
     }
 
-    /// Like [`Spec::compile_audited_with`], additionally capturing a
-    /// [`MemoSnapshot`] of the finished memo table for warm-starting a
-    /// later compile of the same program.  The snapshot holds the *raw*
-    /// residual procedures (pre-postprocess), because the memo ids
-    /// refer to them.
+    /// Like [`Spec::run`] with every parameter dynamic, additionally
+    /// capturing a [`MemoSnapshot`] of the finished memo table for
+    /// warm-starting a later compile of the same program.  The snapshot
+    /// holds the *raw* residual procedures (pre-postprocess), because
+    /// the memo ids refer to them.
     ///
     /// # Errors
     ///
     /// See [`SpecError`].
     #[allow(clippy::type_complexity)]
-    pub fn compile_snapshot_with(
+    pub fn run_snapshot(
         mut self,
         entry: &str,
         sink: &mut dyn pe_trace::Sink,
     ) -> Result<(S0Program, Vec<ControlEvent>, MemoSnapshot), SpecError> {
-        let r = self.compile_inner(entry);
-        self.counters.flush(sink);
-        self.flush_attrs(sink);
-        let p = r?;
+        let p = self.specialize_entry(entry, None, sink)?;
         let snap = MemoSnapshot {
             memo: std::mem::take(&mut self.memo),
             // Everything but the entry wrapper: those are the procedures
@@ -534,78 +521,40 @@ impl<'p> Spec<'p> {
         Ok((p, self.events, snap))
     }
 
-    fn compile_inner(&mut self, entry: &str) -> Result<S0Program, SpecError> {
-        let slots: Vec<Option<Datum>> = {
-            let pid = self
-                .dp
-                .proc_id(entry)
-                .ok_or_else(|| SpecError::NoSuchProc(entry.to_string()))?;
-            vec![None; self.dp.proc(pid).params.len()]
-        };
-        self.run(entry, &slots, entry.to_string())
-    }
-
-    /// Specializes `entry` with respect to known (static) arguments —
-    /// the first specializer projection.  `slots[i] = Some(v)` makes the
-    /// i-th parameter static with value `v`; `None` keeps it dynamic and
-    /// a parameter of the residual entry `entry-$1`.
-    ///
-    /// # Errors
-    ///
-    /// See [`SpecError`].
-    pub fn specialize(
-        self,
-        entry: &str,
-        slots: &[Option<Datum>],
-    ) -> Result<S0Program, SpecError> {
-        self.specialize_with(entry, slots, &mut pe_trace::NullSink)
-    }
-
-    /// Like [`Spec::specialize`], flushing the run's [`SpecCounters`]
-    /// to `sink` even when specialization fails.
-    ///
-    /// # Errors
-    ///
-    /// See [`SpecError`].
-    pub fn specialize_with(
-        self,
-        entry: &str,
-        slots: &[Option<Datum>],
-        sink: &mut dyn pe_trace::Sink,
-    ) -> Result<S0Program, SpecError> {
-        self.specialize_audited_with(entry, slots, sink).map(|(p, _)| p)
-    }
-
-    /// Like [`Spec::specialize_with`], additionally returning the
-    /// control log (see [`Spec::compile_audited_with`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`SpecError`].
-    pub fn specialize_audited_with(
-        mut self,
-        entry: &str,
-        slots: &[Option<Datum>],
-        sink: &mut dyn pe_trace::Sink,
-    ) -> Result<(S0Program, Vec<ControlEvent>), SpecError> {
-        let name = format!("{entry}-$1");
-        let r = self.run(entry, slots, name);
-        self.counters.flush(sink);
-        self.flush_attrs(sink);
-        r.map(|p| (p, self.events))
-    }
-
-    fn run(
+    /// Specializes, then flushes the counters and one `Event::Attr` row
+    /// per residual procedure specialized *this* run (snapshot-restored
+    /// procedures cost nothing here), whether or not it succeeded.
+    fn specialize_entry(
         &mut self,
         entry: &str,
-        slots: &[Option<Datum>],
-        residual_name: String,
+        slots: Option<&[Option<Datum>]>,
+        sink: &mut dyn pe_trace::Sink,
+    ) -> Result<S0Program, SpecError> {
+        let r = self.residualize(entry, slots);
+        self.counters.flush(sink);
+        if sink.enabled() {
+            for (name, ns, nodes) in &self.attrs {
+                sink.attr(pe_trace::Phase::Specialize, name, *ns, *nodes);
+            }
+        }
+        r
+    }
+
+    fn residualize(
+        &mut self,
+        entry: &str,
+        slots: Option<&[Option<Datum>]>,
     ) -> Result<S0Program, SpecError> {
         let pid = self
             .dp
             .proc_id(entry)
             .ok_or_else(|| SpecError::NoSuchProc(entry.to_string()))?;
         let def = self.dp.proc(pid);
+        let dynamic = vec![None; def.params.len()];
+        let (slots, residual_name) = match slots {
+            Some(slots) => (slots, format!("{entry}-$1")),
+            None => (dynamic.as_slice(), entry.to_string()),
+        };
         if def.params.len() != slots.len() {
             return Err(SpecError::EntryArity {
                 name: entry.to_string(),
@@ -659,18 +608,6 @@ impl<'p> Spec<'p> {
         }
         procs.append(&mut self.done);
         Ok(S0Program { procs, entry: ProcId(0) })
-    }
-
-    /// Emits the per-residual-procedure cost rows recorded by
-    /// [`Spec::run`] — one `Event::Attr` per procedure specialized
-    /// *this* run (snapshot-restored procedures cost nothing here).
-    fn flush_attrs(&self, sink: &mut dyn pe_trace::Sink) {
-        if !sink.enabled() {
-            return;
-        }
-        for (name, ns, nodes) in &self.attrs {
-            sink.attr(pe_trace::Phase::Specialize, name, *ns, *nodes);
-        }
     }
 
     // ------------------------------------------------------------------

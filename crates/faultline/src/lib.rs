@@ -270,7 +270,7 @@ pub fn trap_census() -> Result<Vec<TrapRecord>, String> {
     // Ω against the specializing compiler: the size-change analysis
     // rejects it statically — zero fuel, zero heap, zero unfolding.
     let mut sink = CollectingSink::new();
-    let r = pe_core::compile_with(
+    let r = pe_core::compile_audited_with(
         &domega,
         "omega",
         &CompileOptions::default(),
@@ -476,7 +476,7 @@ mod tests {
             let d = pe_frontend::desugar(&p)?;
             let mut sink = pe_trace::CollectingSink::new();
             let r = no_panic(|| {
-                pe_core::compile_with(&d, entry, &CompileOptions::default(), &mut sink)
+                pe_core::compile_audited_with(&d, entry, &CompileOptions::default(), &mut sink)
             })?;
             assert!(
                 matches!(r, Err(SpecError::SctDiverges(Trap::StaticDivergence { .. }))),

@@ -41,6 +41,11 @@
 //! ).unwrap();
 //! assert_eq!(result.to_string(), "(1 2 3)");
 //! ```
+//!
+//! Every [`Pipeline`] compile path runs one pe-core compile and one
+//! seven-pass verify step; the `_traced` variants stream to the sink
+//! they are given, and only [`Pipeline::compile_traced`] and
+//! [`Pipeline::compile_vm_traced`] aggregate into a [`CompileReport`].
 
 pub mod pipeline;
 pub mod suite;

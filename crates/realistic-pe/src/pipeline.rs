@@ -183,9 +183,7 @@ impl Pipeline {
 
     /// Compiles and verifies, returning the report beside the program so
     /// callers that need both never run the verifier a second time.
-    /// Phase spans and specializer counters go to `sink`.  The report
-    /// includes pass 7 (termination): the specializer's widening log
-    /// audited against the size-change verdicts.
+    /// Phase spans and specializer counters go to `sink`.
     fn compile_verified(
         &self,
         entry: &str,
@@ -193,13 +191,7 @@ impl Pipeline {
         sink: &mut dyn Sink,
     ) -> Result<(S0Program, pe_verify::Report), PipelineError> {
         let (s0, audit) = pe_core::compile_audited_with(&self.dprog, entry, opts, sink)?;
-        let t = pe_trace::begin(sink, Phase::Verify);
-        let mut report = pe_verify::verify_with(&s0, sink);
-        merge_audit_attributed(&mut report, &audit, sink);
-        pe_trace::end(sink, t);
-        if report.has_errors() {
-            return Err(PipelineError::IllFormed(report.error_messages()));
-        }
+        let report = verified(&s0, &audit, sink)?;
         Ok((s0, report))
     }
 
@@ -223,12 +215,13 @@ impl Pipeline {
         Ok(CompileReport { s0, verify, phases, counters })
     }
 
-    /// [`Pipeline::compile_traced`] with warm-start: the specializer is
-    /// seeded from a [`pe_core::MemoSnapshot`] captured by an earlier
-    /// compile of the *same* program with the same options, and the run
-    /// returns a fresh snapshot beside the report.  Verification runs
-    /// in full either way — a warm result is held to exactly the same
-    /// seven passes as a cold one.
+    /// [`Pipeline::compile`] with warm-start, tracing to `sink`: the
+    /// specializer is seeded from a [`pe_core::MemoSnapshot`] captured
+    /// by an earlier compile of the *same* program with the same
+    /// options (`None` compiles cold), and the run returns a fresh
+    /// snapshot beside the program.  Verification runs in full either
+    /// way — a warm result is held to exactly the same seven passes as
+    /// a cold one.
     ///
     /// Callers own snapshot validity: pe-serve keys snapshots by the
     /// content fingerprint of (canonical source, options), which is the
@@ -237,25 +230,17 @@ impl Pipeline {
     /// # Errors
     ///
     /// See [`PipelineError`].
-    pub fn compile_warm_traced(
+    pub fn compile_warm(
         &self,
         entry: &str,
         opts: &CompileOptions,
         warm: Option<&pe_core::MemoSnapshot>,
         sink: &mut dyn Sink,
-    ) -> Result<(CompileReport, pe_core::MemoSnapshot), PipelineError> {
-        let mut agg = Aggregator::new(sink);
+    ) -> Result<(S0Program, pe_core::MemoSnapshot), PipelineError> {
         let (s0, audit, snap) =
-            pe_core::compile_warm_audited_with(&self.dprog, entry, opts, warm, &mut agg)?;
-        let t = pe_trace::begin(&mut agg, Phase::Verify);
-        let mut report = pe_verify::verify_with(&s0, &mut agg);
-        merge_audit_attributed(&mut report, &audit, &mut agg);
-        pe_trace::end(&mut agg, t);
-        if report.has_errors() {
-            return Err(PipelineError::IllFormed(report.error_messages()));
-        }
-        let (phases, counters, _) = agg.into_parts();
-        Ok((CompileReport { s0, verify: report, phases, counters }, snap))
+            pe_core::compile_warm_audited_with(&self.dprog, entry, opts, warm, sink)?;
+        verified(&s0, &audit, sink)?;
+        Ok((s0, snap))
     }
 
     /// Compiles `entry` to S₀ and returns the full verification report,
@@ -283,7 +268,7 @@ impl Pipeline {
     ///
     /// See [`PipelineError`].
     pub fn compile_vm(&self, entry: &str, opts: &CompileOptions) -> Result<Vm, PipelineError> {
-        self.compile_vm_traced(entry, opts, &mut NullSink).map(|(vm, _)| vm)
+        self.load_vm(entry, opts, &mut NullSink).map(|(vm, _, _)| vm)
     }
 
     /// [`Pipeline::compile_vm`] under an [`Aggregator`]: the report
@@ -299,18 +284,24 @@ impl Pipeline {
         sink: &mut dyn Sink,
     ) -> Result<(Vm, CompileReport), PipelineError> {
         let mut agg = Aggregator::new(sink);
-        let (s0, report) = self.compile_verified(entry, opts, &mut agg)?;
-        let t = pe_trace::begin(&mut agg, Phase::VmLoad);
-        let vm = Vm::compile(&s0).map_err(PipelineError::Vm);
-        pe_trace::end(&mut agg, t);
-        let vm = vm?;
-        // The loader and the verifier must agree on what is acceptable:
-        // anything the VM takes must already have verified clean.  The
-        // report is the one `compile_verified` produced — verification
-        // runs once per compilation, even in debug builds.
-        debug_assert!(report.is_clean(), "VM accepted a program the verifier rejects");
+        let (vm, s0, verify) = self.load_vm(entry, opts, &mut agg)?;
         let (phases, counters, _) = agg.into_parts();
-        Ok((vm, CompileReport { s0, verify: report, phases, counters }))
+        Ok((vm, CompileReport { s0, verify, phases, counters }))
+    }
+
+    /// Compiles and verifies `entry`, then loads it into the VM under a
+    /// `vm-load` span.
+    fn load_vm(
+        &self,
+        entry: &str,
+        opts: &CompileOptions,
+        sink: &mut dyn Sink,
+    ) -> Result<(Vm, S0Program, pe_verify::Report), PipelineError> {
+        let (s0, report) = self.compile_verified(entry, opts, sink)?;
+        let t = pe_trace::begin(sink, Phase::VmLoad);
+        let vm = Vm::compile(&s0).map_err(PipelineError::Vm);
+        pe_trace::end(sink, t);
+        Ok((vm?, s0, report))
     }
 
     /// Compiles the whole program with the Hobbit-like baseline.
@@ -414,8 +405,8 @@ impl Pipeline {
         opts: &CompileOptions,
         sink: &mut dyn Sink,
     ) -> Result<RobustExec, PipelineError> {
-        match self.compile_vm_traced(entry, opts, sink) {
-            Ok((vm, _)) => Ok(RobustExec::Compiled(Box::new(vm))),
+        match self.load_vm(entry, opts, sink) {
+            Ok((vm, _, _)) => Ok(RobustExec::Compiled(Box::new(vm))),
             Err(PipelineError::Spec(e)) if e.is_degradable() => {
                 Ok(RobustExec::Degraded { reason: e })
             }
@@ -499,11 +490,6 @@ impl Pipeline {
         sink: &mut dyn Sink,
     ) -> Result<pe_backend_c::CProgram, PipelineError> {
         let (s0, _) = self.compile_verified(entry, opts, sink)?;
-        // Re-certify the exact concrete syntax the C emitter consumes.
-        debug_assert!(
-            pe_verify::verify_source(&s0.to_source()).is_clean(),
-            "emit_c input fails the language-preservation certificate"
-        );
         let t = pe_trace::begin(sink, Phase::EmitC);
         let c = pe_backend_c::emit_c(&s0, args, &pe_backend_c::COptions::default());
         pe_trace::end(sink, t);
@@ -514,18 +500,28 @@ impl Pipeline {
     }
 }
 
-/// Runs the termination audit (verify pass 7) and merges its findings,
-/// emitting an `<audit>` attribution row so the verify phase's books
-/// include the one check that is not per-procedure.
-fn merge_audit_attributed(
-    report: &mut pe_verify::Report,
+/// Verifies a freshly compiled residual under a `verify` span: every
+/// [`pe_verify`] pass, then pass 7 (termination) — the specializer's
+/// control log audited against the size-change verdicts — with an
+/// `<audit>` attribution row so the verify phase's books include the
+/// one check that is not per-procedure.  Error-severity findings are
+/// refused as [`PipelineError::IllFormed`].
+fn verified(
+    s0: &S0Program,
     audit: &pe_core::CompileAudit,
     sink: &mut dyn Sink,
-) {
+) -> Result<pe_verify::Report, PipelineError> {
+    let t = pe_trace::begin(sink, Phase::Verify);
+    let mut report = pe_verify::verify_with(s0, sink);
     let t0 = sink.enabled().then(std::time::Instant::now);
     report.merge(pe_verify::verify_audit(audit));
     if let Some(t0) = t0 {
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         sink.attr(Phase::Verify, "<audit>", ns, audit.events.len() as u64);
     }
+    pe_trace::end(sink, t);
+    if report.has_errors() {
+        return Err(PipelineError::IllFormed(report.error_messages()));
+    }
+    Ok(report)
 }

@@ -248,3 +248,71 @@ fn trap_carries_gauge_snapshot() -> R {
     assert_eq!(sink.gauge_last(pe_trace::Gauge::FuelUsed), Some(100));
     Ok(())
 }
+
+/// A sink that reports itself disabled and counts every call it is
+/// handed anyway: instrumented code must send it nothing.
+#[derive(Default)]
+struct DisabledCounter {
+    calls: usize,
+}
+
+impl pe_trace::Sink for DisabledCounter {
+    fn enabled(&self) -> bool {
+        false
+    }
+
+    fn span_open(&mut self, _phase: Phase) {
+        self.calls += 1;
+    }
+
+    fn span_close(&mut self, _phase: Phase, _dur_ns: u64) {
+        self.calls += 1;
+    }
+
+    fn counter(&mut self, _counter: Counter, _delta: u64) {
+        self.calls += 1;
+    }
+
+    fn gauge(&mut self, _gauge: pe_trace::Gauge, _value: u64) {
+        self.calls += 1;
+    }
+
+    fn attr(&mut self, _phase: Phase, _label: &str, _ns: u64, _units: u64) {
+        self.calls += 1;
+    }
+
+    fn hist(&mut self, _hist: pe_trace::Hist, _buckets: &[u64; pe_trace::HIST_BUCKETS]) {
+        self.calls += 1;
+    }
+}
+
+#[test]
+fn disabled_sinks_receive_nothing() -> R {
+    let b = benchmark("tak").expect("known benchmark");
+    let opts = CompileOptions::default();
+    let args = b.test_inputs();
+    let mut sink = DisabledCounter::default();
+    let pipe = Pipeline::new_traced(b.source, &mut sink)?;
+    assert_eq!(sink.calls, 0, "new_traced");
+    let exec = pipe.compile_robust_traced(b.entry, &opts, &mut sink)?;
+    assert!(!exec.is_degraded());
+    assert_eq!(sink.calls, 0, "compile_robust_traced");
+    let (_, degraded) =
+        pipe.run_robust_traced(b.entry, &args, &opts, Limits::default(), &mut sink)?;
+    assert!(degraded.is_none());
+    assert_eq!(sink.calls, 0, "run_robust_traced");
+    pipe.emit_c_traced(b.entry, &args, &opts, &mut sink)?;
+    assert_eq!(sink.calls, 0, "emit_c_traced");
+    let (_, snap) = pipe.compile_warm(b.entry, &opts, None, &mut sink)?;
+    pipe.compile_warm(b.entry, &opts, Some(&snap), &mut sink)?;
+    assert_eq!(sink.calls, 0, "compile_warm");
+    // The degraded path: Ω is refused statically and handed to the tail
+    // interpreter, whose fuel trap must not reach the sink either.
+    let omega = "(define (omega d) ((lambda (x) (x x)) (lambda (x) (x x))))";
+    let pipe = Pipeline::new_traced(omega, &mut sink)?;
+    let tight = Limits { fuel: 1_000, ..Limits::default() };
+    let r = pipe.run_robust_traced("omega", &[Datum::Int(0)], &opts, tight, &mut sink);
+    assert!(r.is_err(), "Ω runs out of fuel interpreted: {r:?}");
+    assert_eq!(sink.calls, 0, "run_robust_traced, degraded");
+    Ok(())
+}

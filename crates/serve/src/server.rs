@@ -415,15 +415,15 @@ impl Server {
         sink: &mut dyn Sink,
     ) -> Result<(Artifact, MemoSnapshot), String> {
         let pipeline = Pipeline::new_traced(&req.source, sink).map_err(|e| e.to_string())?;
-        let (report, snapshot) = pipeline
-            .compile_warm_traced(&req.entry, opts, warm, sink)
+        let (s0, snapshot) = pipeline
+            .compile_warm(&req.entry, opts, warm, sink)
             .map_err(|e| e.to_string())?;
         let artifact = Artifact {
             fingerprint: fp,
-            residual_source: report.s0.to_source(),
-            procs: report.s0.procs.len(),
-            nodes: report.s0.size(),
-            s0: report.s0,
+            residual_source: s0.to_source(),
+            procs: s0.procs.len(),
+            nodes: s0.size(),
+            s0,
         };
         Ok((artifact, snapshot))
     }

@@ -183,23 +183,35 @@ fn trace_stream_from_concurrent_serve_validates() {
 fn warm_start_is_much_cheaper_than_cold() {
     // The acceptance bar: a warm answer at least 10x faster than a cold
     // compile.  Use the cache-hit path (the service's warm answer) on
-    // the heaviest suite program, and give the ratio a wide margin to
-    // keep CI deterministic: a hit is a map lookup + clone, orders of
-    // magnitude below a full pipeline run.
+    // the heaviest suite program: a hit is a map lookup + clone, orders
+    // of magnitude below a full pipeline run.  Each side is the minimum
+    // of several timings — the cold side over fresh servers, the warm
+    // side over repeated hits — so one descheduled run on a loaded
+    // machine cannot decide the ratio.
     let b = realistic_pe::suite::benchmark("queens").expect("queens exists");
-    let server = Server::new(ServerConfig::default());
     let req = CompileRequest::new(b.name, b.source, b.entry);
+    let timed = |server: &Server| {
+        let t0 = std::time::Instant::now();
+        let resp = server.serve(std::slice::from_ref(&req));
+        (t0.elapsed().as_nanos().max(1), resp)
+    };
 
-    let t0 = std::time::Instant::now();
-    let cold = server.serve(std::slice::from_ref(&req));
-    let cold_ns = t0.elapsed().as_nanos().max(1);
+    let server = Server::new(ServerConfig::default());
+    let (mut cold_ns, cold) = timed(&server);
     assert!(matches!(cold[0].outcome, Outcome::Compiled { warm_started: false, .. }));
+    for _ in 0..2 {
+        let (ns, again) = timed(&Server::new(ServerConfig::default()));
+        assert!(matches!(again[0].outcome, Outcome::Compiled { warm_started: false, .. }));
+        cold_ns = cold_ns.min(ns);
+    }
 
-    let t1 = std::time::Instant::now();
-    let warm = server.serve(std::slice::from_ref(&req));
-    let warm_ns = t1.elapsed().as_nanos().max(1);
-    assert!(warm[0].is_hit());
-    assert_eq!(cold[0].residual_source(), warm[0].residual_source());
+    let mut warm_ns = u128::MAX;
+    for _ in 0..5 {
+        let (ns, warm) = timed(&server);
+        assert!(warm[0].is_hit());
+        assert_eq!(cold[0].residual_source(), warm[0].residual_source());
+        warm_ns = warm_ns.min(ns);
+    }
     assert!(
         cold_ns >= warm_ns * 10,
         "warm answer must be >=10x faster: cold {cold_ns}ns vs warm {warm_ns}ns"

@@ -193,22 +193,7 @@ impl Vm {
         limits: Limits,
         sink: &mut dyn pe_trace::Sink,
     ) -> Result<(Datum, VmStats), InterpError> {
-        let t = pe_trace::begin(sink, pe_trace::Phase::VmRun);
-        let mut stats = VmStats::default();
-        let mut fuel = Fuel::new(&limits);
-        let result = self.exec(args, &mut stats, &mut fuel, &mut NoProfile);
-        if sink.enabled() {
-            use pe_trace::Counter;
-            sink.counter(Counter::VmSteps, stats.steps);
-            sink.counter(Counter::VmAllocs, stats.allocs);
-            sink.counter(Counter::VmCalls, stats.calls);
-            if result.is_err() {
-                let snap = fuel.snapshot();
-                pe_trace::trap_gauges(sink, snap.steps, snap.cells, snap.peak_depth as u64);
-            }
-        }
-        pe_trace::end(sink, t);
-        result.map(|v| (v, stats))
+        self.run_reported(args, limits, &mut NoProfile, sink)
     }
 
     /// [`Vm::run_with`] with the hot-label profiler switched on: the
@@ -228,15 +213,30 @@ impl Vm {
         limits: Limits,
         sink: &mut dyn pe_trace::Sink,
     ) -> Result<(Datum, VmStats, VmProfile), InterpError> {
+        let mut profile = VmProfile::sized(self.blocks.len());
+        let (v, stats) = self.run_reported(args, limits, &mut profile, sink)?;
+        Ok((v, stats, profile))
+    }
+
+    /// One run as every entry point reports it: `exec` under a `vm-run`
+    /// span, then the three execution counters, the governor meter
+    /// snapshot when the machine trapped, and the profiler's own rows,
+    /// all skipped (clock reads included) when `sink` is disabled.
+    fn run_reported<P: Profiler>(
+        &self,
+        args: &[Datum],
+        limits: Limits,
+        prof: &mut P,
+        sink: &mut dyn pe_trace::Sink,
+    ) -> Result<(Datum, VmStats), InterpError> {
         let t = pe_trace::begin(sink, pe_trace::Phase::VmRun);
         let mut stats = VmStats::default();
         let mut fuel = Fuel::new(&limits);
-        let mut profile = VmProfile::sized(self.blocks.len());
-        let t0 = std::time::Instant::now();
-        let result = self.exec(args, &mut stats, &mut fuel, &mut profile);
-        let exec_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if sink.enabled() {
+        let t0 = sink.enabled().then(std::time::Instant::now);
+        let result = self.exec(args, &mut stats, &mut fuel, prof);
+        if let Some(t0) = t0 {
             use pe_trace::Counter;
+            let exec_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
             sink.counter(Counter::VmSteps, stats.steps);
             sink.counter(Counter::VmAllocs, stats.allocs);
             sink.counter(Counter::VmCalls, stats.calls);
@@ -244,18 +244,10 @@ impl Vm {
                 let snap = fuel.snapshot();
                 pe_trace::trap_gauges(sink, snap.steps, snap.cells, snap.peak_depth as u64);
             }
-            let parts = pe_prof::distribute_ns(exec_ns, &profile.entries);
-            for (pc, (&entries, ns)) in
-                profile.entries.iter().zip(parts).enumerate()
-            {
-                if entries > 0 {
-                    let name = self.block_name(pc).unwrap_or("<unknown>");
-                    sink.attr(pe_trace::Phase::VmRun, name, ns, entries);
-                }
-            }
+            prof.report(self, exec_ns, sink);
         }
         pe_trace::end(sink, t);
-        result.map(|v| (v, stats, profile))
+        result.map(|v| (v, stats))
     }
 
     fn exec<P: Profiler>(
@@ -331,6 +323,7 @@ impl Vm {
 trait Profiler {
     fn enter(&mut self, pc: usize);
     fn branch(&mut self, pc: usize, taken: bool);
+    fn report(&self, _vm: &Vm, _exec_ns: u64, _sink: &mut dyn pe_trace::Sink) {}
 }
 
 /// The zero-cost profiler: every hook is an empty inline body.
@@ -397,6 +390,18 @@ impl Profiler for VmProfile {
                 *t += 1;
             } else {
                 *f += 1;
+            }
+        }
+    }
+
+    /// One `Event::Attr` per entered label under `vm-run`, with the
+    /// run's execution time spread across labels by entry share.
+    fn report(&self, vm: &Vm, exec_ns: u64, sink: &mut dyn pe_trace::Sink) {
+        let parts = pe_prof::distribute_ns(exec_ns, &self.entries);
+        for (pc, (&entries, ns)) in self.entries.iter().zip(parts).enumerate() {
+            if entries > 0 {
+                let name = vm.block_name(pc).unwrap_or("<unknown>");
+                sink.attr(pe_trace::Phase::VmRun, name, ns, entries);
             }
         }
     }

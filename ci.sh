@@ -17,27 +17,15 @@ cargo run --release -p realistic-pe --example verify
 # byte for byte, and check its seeded inputs are deterministic.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-# pe-flow translation validation: the whole Gabriel suite is compiled
-# with the flow optimizer off and on, differentially executed on the
-# VM, and every optimized residual must re-pass verification with zero
-# flow lints (the `verify` example above exits non-zero on any).  The
-# --flow report must render and schema-validate its event stream.
-cargo test -q -p realistic-pe --test flow_integration
+# The flow and sct reports must render and schema-validate their event
+# streams.  (Their translation-validation tests, flow_integration.rs and
+# sct_integration.rs, run under `cargo test` above, as does pe-faultline.)
 cargo run --release -p realistic-pe --example pe-explain -- --flow > /dev/null
-
-# pe-sct termination analysis: every benchmark classified, sct on/off
-# differentially executed on the VM, zero pass-7 termination warnings,
-# and suite-wide dynamic widenings must drop under static control.  The
-# --sct report must render and schema-validate its event stream.
-cargo test -q -p realistic-pe --test sct_integration
 cargo run --release -p realistic-pe --example pe-explain -- --sct > /dev/null
 
-# Fault injection: hostile input against every entry point (including
-# the printer-totality and pretty/read round-trip tests), then the
-# deep-input stack smoke in the DEBUG profile (unoptimized frames are
+# Deep-input stack smoke in the DEBUG profile: unoptimized frames are
 # the worst case for host-stack recursion, so unbounded recursion
-# aborts here rather than in a user's process).
-cargo test -q -p pe-faultline
+# aborts here rather than in a user's process.
 cargo run -p pe-faultline --example stack_smoke
 
 # Trace smoke: pe-explain in JSONL mode self-validates its own stream
@@ -54,12 +42,10 @@ cargo run --release -p pe-faultline --example trap_census > /dev/null
 # Exits non-zero on unbalanced books or a schema violation.
 cargo run --release -p realistic-pe --example pe-explain -- --prof > /dev/null
 
-# The offline benchmark harness in quick mode: compiles and times the
-# whole Gabriel suite on every engine (small inputs, few reps) so each
-# CI run checks the harness end to end and leaves BENCH_pe.json behind.
-# --check gates against the committed baseline: large timing multiples
-# or >5% growth in the deterministic size metrics fail the run.
-cargo run --release -p pe-bench -- --quick --check BENCH_baseline.json
+# Timing gate: every Gabriel benchmark must compute its expected answer
+# on the VM, the tail interpreter and Hobbit; then compile and run times
+# (min of 3, test inputs) must stay within baseline x 2.5 + 25 ms.
+cargo run --release -p pe-bench -- crates/bench/baseline.txt
 
 # pe-siege robustness harness.  First the corpus gate: every minimal
 # reproducer ever banked under crates/siege/corpus must stay clean

@@ -78,6 +78,13 @@ fn optimization_never_grows_a_residual_and_shrinks_at_least_one() {
         let args = b.test_inputs();
         let c_base = realistic_pe::emit_c(&base, &args, &COptions::default());
         let c_opt = realistic_pe::emit_c(&opt, &args, &COptions::default());
+        assert!(
+            c_opt.size_bytes() <= c_base.size_bytes(),
+            "{}: flow grew the emitted C ({} → {} bytes)",
+            b.name,
+            c_base.size_bytes(),
+            c_opt.size_bytes()
+        );
         if c_opt.size_bytes() < c_base.size_bytes() {
             shrank_c += 1;
         }

@@ -21,8 +21,8 @@ use crate::fingerprint::Fingerprint;
 use pe_core::{MemoSnapshot, S0Program};
 use pe_intern::FxHashMap;
 
-/// A cached compilation product: the verified residual program plus the
-/// sizes the bench harness reports.
+/// A cached compilation product: the verified residual program plus its
+/// sizes.
 #[derive(Debug, Clone)]
 pub struct Artifact {
     /// The compile key this artifact is stored under.
@@ -78,8 +78,7 @@ pub struct ResidualCache {
 impl ResidualCache {
     /// An empty cache holding at most `capacity` artifacts (and as many
     /// warm snapshots).  A capacity of 0 disables artifact storage —
-    /// every request compiles, which the bench harness uses to measure
-    /// the pure warm-start effect.
+    /// every request compiles, warm once a snapshot exists.
     #[must_use]
     pub fn new(capacity: usize) -> ResidualCache {
         ResidualCache {

@@ -504,6 +504,16 @@ mod tests {
         assert_eq!(m.in_flight, 0, "all requests have left service");
         assert!(m.in_flight_peak >= 1);
 
+        // Snapshots of servers with different pool sizes pool exactly.
+        let single = Server::new(ServerConfig { threads: 1, ..ServerConfig::default() });
+        single.serve(&reqs);
+        single.serve(&[CompileRequest::new("hot", SRC, "inc")]);
+        let mut pooled = m.clone();
+        pooled.merge(&single.metrics_snapshot());
+        assert_eq!(pooled.cold_miss.count(), 2);
+        assert_eq!(pooled.hit.count(), 2);
+        assert_eq!(pooled.queue_wait.count(), 6);
+
         // The snapshot publishes as a balanced, replayable event group.
         let shared = SharedSink::new(CollectingSink::new());
         server.publish_metrics(&shared);

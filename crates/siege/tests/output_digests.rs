@@ -5,11 +5,14 @@
 //! emitted C and the FNV-1a-64 digest of that C text.  A refactor that
 //! claims byte-identical output must leave every row as it is; a change
 //! that alters output on purpose re-pins the table from the printout.
+//! A second table pins the VM's work — steps, allocations and tail
+//! calls — for each Gabriel program at its bench inputs, the runs
+//! perfbench's `fig8-run` times; it re-pins the same way.
 
 use pe_interp::Datum;
 use pe_siege::gen::gen_case;
 use pe_siege::rng::Rng;
-use realistic_pe::{emit_c, COptions, CompileOptions, Pipeline, SUITE};
+use realistic_pe::{emit_c, COptions, CompileOptions, Limits, Pipeline, SUITE};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -77,6 +80,30 @@ fn printed_s0_and_emitted_c_are_pinned() {
         rows.len(),
         differing.join(", ")
     );
+}
+
+#[test]
+fn vm_work_at_bench_inputs_is_pinned() {
+    let rows: Vec<(&str, u64, u64, u64)> = SUITE
+        .iter()
+        .map(|b| {
+            let vm = Pipeline::new(b.source)
+                .and_then(|pipe| pipe.compile_vm(b.entry, &CompileOptions::default()))
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            let (_, stats) = vm
+                .run(&b.bench_inputs(), Limits::default())
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            (b.name, stats.steps, stats.allocs, stats.calls)
+        })
+        .collect();
+    if rows == VM_WORK {
+        return;
+    }
+    let mut table = String::new();
+    for (name, steps, allocs, calls) in &rows {
+        let _ = writeln!(table, "    ({name:?}, {steps}, {allocs}, {calls}),");
+    }
+    panic!("VM work differs from the pinned table; new table:\n{table}");
 }
 
 #[rustfmt::skip]
@@ -396,4 +423,16 @@ const PINNED: &[(&str, usize, u64, usize, u64)] = &[
     ("gen-297", 4, 0x94ef4c14ea9eb290, 6543, 0x4d40b0689c3d5d4d),
     ("gen-298", 3, 0xf663bf89ab0d3ad7, 6485, 0x5f328ccaae045e31),
     ("gen-299", 3, 0xf663bf89ab0d3ad7, 6485, 0x2202cc9b8dac2bbe),
+];
+
+/// `(program, steps, allocs, calls)` from `VmStats` at bench inputs.
+#[rustfmt::skip]
+const VM_WORK: &[(&str, u64, u64, u64)] = &[
+    ("deriv", 173363, 48460, 20467),
+    ("tak", 270337, 95412, 79510),
+    ("cpstak", 181040, 47707, 79511),
+    ("takl", 191205, 21263, 57174),
+    ("fibclos", 123973, 35421, 53131),
+    ("cps-append", 202031, 98647, 98005),
+    ("queens", 401785, 96376, 93518),
 ];
